@@ -10,14 +10,15 @@ components) before the engine projects completions or an external caller
 reads them.  In-flight flows have their accrued bytes banked at the rates
 that were in force and their completion re-projected.
 
-With numpy available, per-flow residuals and bank timestamps live in flat
-arrays indexed by the allocator's flow *slots* (see
+Once a fabric promotes itself to the vectorised engine, per-flow residuals
+and bank timestamps live in flat numpy arrays indexed by the allocator's
+flow *slots* (see
 :class:`~repro.netsim.maxmin.MaxMinAllocator`), and the per-event O(flows)
 sweeps — banking, completion projection, sub-resolution drain, retirement
 scan — run as whole-array operations.  Slot order equals flow registration
 order, and every float fold is written as a strict left-to-right
 accumulation (``cumsum``), so the vector sweeps produce bit-identical
-trajectories to the scalar per-flow loops used when numpy is absent.
+trajectories to the scalar per-flow loops used before promotion.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from repro.netsim.maxmin import MaxMinAllocator, _np
+import numpy as _np
+
+from repro.netsim.maxmin import MaxMinAllocator
 from repro.sim import Environment, Event
 
 __all__ = ["Fabric", "Flow", "Link", "TransferResult"]
@@ -47,9 +50,14 @@ _VEC_PROMOTE = 128
 
 
 class Link:
-    """A directed capacitated edge between two fabric nodes."""
+    """A directed capacitated edge between two fabric nodes.
 
-    __slots__ = ("name", "src", "dst", "capacity", "latency")
+    ``capacity`` is read-only: the fabric's allocator holds the capacity
+    it solves against, so :meth:`Fabric.set_link_capacity` is the only
+    writer and a link can never silently desync from its allocation.
+    """
+
+    __slots__ = ("name", "src", "dst", "_capacity", "latency")
 
     def __init__(
         self, name: str, src: str, dst: str, capacity: float, latency: float = 0.0
@@ -61,10 +69,14 @@ class Link:
         self.name = name
         self.src = src
         self.dst = dst
-        #: bytes per second
-        self.capacity = float(capacity)
+        self._capacity = float(capacity)
         #: one-way propagation delay in seconds
         self.latency = float(latency)
+
+    @property
+    def capacity(self) -> float:
+        """Bytes per second (change it with :meth:`Fabric.set_link_capacity`)."""
+        return self._capacity
 
     def __repr__(self) -> str:
         return f"<Link {self.name} {self.src}->{self.dst} {self.capacity/1e6:.0f} MB/s>"
@@ -234,9 +246,9 @@ class Fabric:
       route and the next settle re-solves only the affected allocation
       components (O(component) rather than O(all flows x all links)), with
       same-instant events coalesced into a single solve.
-    * With numpy present the per-flow sweeps (banking, retirement,
+    * Once promoted the per-flow sweeps (banking, retirement,
       completion projection) are vectorised over the shared flow table;
-      the scalar loops below remain the reference (and fallback)
+      the scalar loops below remain the reference (and small-fabric)
       implementation and produce bit-identical results.
     """
 
@@ -350,7 +362,7 @@ class Fabric:
             link = self.links[name]
         except KeyError:
             raise KeyError(f"no link named {name!r}") from None
-        link.capacity = float(capacity)
+        link._capacity = float(capacity)
         self._alloc.set_capacity(name, capacity)
         self._reallocate()
 

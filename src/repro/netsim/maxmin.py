@@ -14,8 +14,8 @@ Two incremental backends share the same bookkeeping:
   capacities, per-flow weights and the flow->link route incidence in
   preallocated flat arrays and solves each dirty component with
   ``bincount``/``subtract.at`` rounds;
-* the original **scalar** dict walker, used when numpy is unavailable
-  (or disabled via ``REPRO_NO_NUMPY=1``).
+* the original **scalar** dict walker, used until the owner promotes
+  the allocator and for closures too small to repay numpy call overhead.
 
 Both accumulate per-link weight/capacity totals in ascending-flow-id
 order, so for the integer, monotonically assigned flow ids the fabric
@@ -25,15 +25,9 @@ either one.
 
 from __future__ import annotations
 
-import os
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
-try:  # pragma: no cover - exercised by the numpy-less CI job
-    if os.environ.get("REPRO_NO_NUMPY"):
-        raise ImportError("numpy disabled via REPRO_NO_NUMPY")
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 __all__ = ["MaxMinAllocator", "max_min_fair_rates"]
 
@@ -166,13 +160,13 @@ class MaxMinAllocator:
       :meth:`flush` recomputes just the flows reachable from dirty links
       through shared links (the affected connected components), leaving
       every other component's rates untouched;
-    * **vectorised water-filling** — with numpy present, each closure
+    * **vectorised water-filling** — once promoted, each closure
       solve gathers the affected rows of the persistent flow/link
       incidence arrays and runs the freeze rounds as whole-array
       ``bincount`` / ``subtract.at`` operations; per-link weight totals
       are maintained across rounds by subtraction, so a solve costs
       O(route-length) array work plus O(rounds) vector ops instead of
-      O(rounds x flows x route-length) dict walks.  Without numpy the
+      O(rounds x flows x route-length) dict walks.  Before promotion the
       original scalar round loop runs instead.
 
     Max-min fairness decomposes over connected components of the
@@ -241,11 +235,11 @@ class MaxMinAllocator:
         #: True when the numpy backend is active.  The default
         #: (``vec=None``) starts scalar and lets the owner call
         #: :meth:`promote` once the population justifies array overhead;
-        #: ``vec=True`` activates arrays immediately (requires numpy).
-        self.vec = bool(vec) and _np is not None
+        #: ``vec=True`` activates arrays immediately.
+        self.vec = bool(vec)
         #: True when :meth:`promote` may still switch this instance to
         #: the vector backend
-        self.vec_auto = vec is None and _np is not None
+        self.vec_auto = vec is None
         #: called with the kept-slot index array after a slot compaction,
         #: so array sharers (the fabric flow table) renumber in lockstep
         self.on_compact = None
@@ -285,9 +279,9 @@ class MaxMinAllocator:
         (``_flow_links`` insertion) order — the same order incremental
         ``add_flow`` would have produced — and ``_vrates`` is seeded
         from the scalar rate store, so the switch changes no observable
-        rate.  No-op when numpy is absent or already in vector mode.
+        rate.  No-op when already in vector mode.
         """
-        if self.vec or _np is None:
+        if self.vec:
             return
         self.vec = True
         self.vec_auto = False

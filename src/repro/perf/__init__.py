@@ -12,10 +12,6 @@ runner measures, per scenario:
 * ``instants`` / ``max_instant_batch`` — same-instant dispatch cohorts
   and the largest one (``events / instants`` is the mean batch size the
   cohort drain amortises generator-resume overhead over),
-* ``queue`` — calendar-queue occupancy counters (``wheel_pushes``,
-  ``overflow_pushes``, ``rebases``, ``migrations``; all zero while the
-  queue stays in flat-heap mode, which every current scenario does —
-  they characterise the wheel once traces grow past ``_WHEEL_ENTER``),
 * ``rate_recomputes`` — fair-share solver invocations on all fabrics,
 * ``headline`` — *simulated* outputs (bytes moved, job durations, end
   times).  These are machine-independent and guarded by
@@ -94,7 +90,6 @@ def run_scenario(name: str) -> dict:
     wall = time.perf_counter() - t0  # noqa: RA001 - benchmark harness measures wall clock
     env = out.env
     events = env.events_processed
-    q = env._queue
     return {
         "wall_s": round(wall, 4),
         "events": events,
@@ -102,12 +97,6 @@ def run_scenario(name: str) -> dict:
         "peak_queue_len": env.peak_queue_len,
         "instants": env.instants,
         "max_instant_batch": env.max_instant_batch,
-        "queue": {
-            "wheel_pushes": q.wheel_pushes,
-            "overflow_pushes": q.overflow_pushes,
-            "rebases": q.rebases,
-            "migrations": q.migrations,
-        },
         "rate_recomputes": int(sum(f.rate_recomputes for f in out.fabrics)),
         "headline": out.headline,
         **({"extra": out.extras} if out.extras else {}),
@@ -142,20 +131,37 @@ def _ensure_scenarios_loaded() -> None:
 
 
 def compare_headlines(
-    report: Mapping, golden: Mapping, rtol: float = HEADLINE_RTOL
+    report: Mapping,
+    golden: Mapping,
+    rtol: float = HEADLINE_RTOL,
+    names: Optional[Iterable[str]] = None,
 ) -> list[str]:
     """Differences between a report's and a golden file's headline numbers.
 
     Only ``headline`` values are compared — wall-clock and events/sec are
     machine-dependent trajectory data, not correctness.  Returns a list of
-    human-readable drift descriptions (empty = no drift).  Scenarios present
-    in the golden file but missing from the report are drift (a bench was
-    silently dropped); extra scenarios in the report are not (new benches
-    may land before their goldens).
+    human-readable drift descriptions (empty = no drift).
+
+    For a full-suite run (*names* is None) every golden scenario is
+    compared: one missing from the report is drift (a bench was silently
+    dropped), while extra scenarios in the report are not (new benches may
+    land before their goldens).  A subset run passes the explicitly
+    selected *names*: only those are compared, and a selected scenario the
+    golden lacks is drift, since it was asked to be gated.
     """
     drift: list[str] = []
     gold_scenarios = golden.get("scenarios", {})
     new_scenarios = report.get("scenarios", {})
+    if names is not None:
+        names = list(names)
+        drift.extend(
+            f"{name}: scenario missing from golden"
+            for name in names
+            if name not in gold_scenarios
+        )
+        gold_scenarios = {
+            name: gold_scenarios[name] for name in names if name in gold_scenarios
+        }
     for name, gold in gold_scenarios.items():
         mine = new_scenarios.get(name)
         if mine is None:

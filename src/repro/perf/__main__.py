@@ -11,6 +11,12 @@ committed goldens::
 
     python -m repro.perf --out /tmp/bench.json \
         --check benchmarks/results/BENCH_kernel.json
+
+Gate a subset: with scenarios named explicitly, ``--check`` compares
+only those (and fails on a named scenario the golden lacks)::
+
+    python -m repro.perf d1_library_outage d2_fta_pool_loss \
+        --check benchmarks/results/BENCH_kernel.json
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--check", metavar="GOLDEN", default=None,
         help="compare simulated headline numbers against a golden report; "
-        "exit 1 on any drift",
+        "exit 1 on any drift (with scenarios named, only those are compared)",
     )
     parser.add_argument(
         "--scenarios", metavar="NAMES", default=None,
@@ -88,7 +94,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.check:
         golden = load_report(args.check)
-        drift = compare_headlines(report, golden)
+        drift = compare_headlines(report, golden, names=names)
         if drift:
             print(f"\nHEADLINE DRIFT vs {args.check}:", file=sys.stderr)
             for line in drift:

@@ -74,13 +74,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="scenario to trace (see --list)",
     )
     parser.add_argument(
-        "--seed", type=int, default=0,
-        help="scenario seed (passed to scenarios that accept one; default 0)",
+        "--seed", type=int, default=None,
+        help="scenario seed (passed to scenarios that accept one; default: "
+        "each scenario's own default seed, so headlines match the goldens)",
     )
     parser.add_argument(
         "--out", metavar="BASE", default=None,
         help="output basename; writes BASE.jsonl and BASE.trace.json "
-        "(default trace_<scenario>_s<seed>)",
+        "(default trace_<scenario>, plus _s<seed> with --seed)",
     )
     parser.add_argument(
         "--wall", action="store_true",
@@ -114,7 +115,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
-    base = args.out or f"trace_{args.scenario}_s{args.seed}"
+    seed_tag = "" if args.seed is None else f"_s{args.seed}"
+    base = args.out or f"trace_{args.scenario}{seed_tag}"
     jsonl_path = f"{base}.jsonl"
     chrome_path = f"{base}.trace.json"
     with open(jsonl_path, "w", encoding="utf-8") as fh:
@@ -125,7 +127,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     n_spans = sum(1 for ev in tracer.events if ev["ph"] == "X")
     n_instants = sum(1 for ev in tracer.events if ev["ph"] == "i")
     print(
-        f"{args.scenario} (seed {args.seed}): {len(tracer.events)} events "
+        f"{args.scenario} (seed {'default' if args.seed is None else args.seed}): "
+        f"{len(tracer.events)} events "
         f"({n_spans} spans, {n_instants} instants), "
         f"{len(tracer.metrics)} metrics, sim end t="
         f"{tracer.metadata['sim_end_time']:.6f}"

@@ -125,6 +125,24 @@ def test_duplex_reverse_independent():
     assert ends["rev"] == pytest.approx(10.0)
 
 
+def test_link_capacity_is_read_only():
+    """Writing ``Link.capacity`` would bypass the allocator; only
+    ``set_link_capacity`` may change it, and the allocation follows."""
+    env = Environment()
+    fab = Fabric(env)
+    fwd, _ = fab.add_link("a", "b", capacity=100.0)
+    with pytest.raises(AttributeError):
+        fwd.capacity = 50.0
+    fab.set_link_capacity(fwd.name, 50.0)
+    assert fwd.capacity == 50.0
+
+    def go():
+        res = yield fab.transfer("a", "b", 1000.0)
+        return res.duration
+
+    assert env.run(env.process(go())) == pytest.approx(20.0)
+
+
 def test_explicit_route_pinning():
     env = Environment()
     fab = Fabric(env)
@@ -264,18 +282,10 @@ def _churn_workload(promote_at):
         fabric_mod._VEC_PROMOTE = old
 
 
-def _require_numpy():
-    from repro.netsim import maxmin as maxmin_mod
-
-    if maxmin_mod._np is None:
-        pytest.skip("numpy unavailable: the fabric never promotes")
-
-
 def test_promotion_mid_run_is_bit_identical_to_scalar():
     """Crossing the promotion threshold mid-run must not change a single
     result bit: the vectorised engine is value-preserving at adoption and
     bit-identical in steady state."""
-    _require_numpy()
     scalar = _churn_workload(promote_at=10**9)
     promoted = _churn_workload(promote_at=12)
     assert not scalar[3]       # never promoted
@@ -285,7 +295,6 @@ def test_promotion_mid_run_is_bit_identical_to_scalar():
 
 def test_promotion_at_start_matches_scalar():
     """Forcing the vector engine from flow #1 (threshold 1) also matches."""
-    _require_numpy()
     scalar = _churn_workload(promote_at=10**9)
     vec = _churn_workload(promote_at=1)
     assert vec[3]
@@ -293,12 +302,10 @@ def test_promotion_at_start_matches_scalar():
 
 
 def test_promotion_requires_numpy():
-    """Without numpy the allocator never reports vec_auto, so the fabric
-    stays on the scalar engine regardless of population."""
+    """The vector engine runs on numpy, a hard dependency: a default
+    allocator may promote itself, and only an explicit ``vec=False``
+    pins it to the scalar engine regardless of population."""
     from repro.netsim import maxmin as maxmin_mod
 
-    if maxmin_mod._np is None:
-        alloc = maxmin_mod.MaxMinAllocator()
-        assert not alloc.vec_auto
-    else:
-        assert maxmin_mod.MaxMinAllocator(vec=False).vec_auto is False
+    assert maxmin_mod.MaxMinAllocator().vec_auto is True
+    assert maxmin_mod.MaxMinAllocator(vec=False).vec_auto is False

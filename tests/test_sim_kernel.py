@@ -282,7 +282,7 @@ def _noop(env):
 def test_peek_reports_next_event_time():
     env = Environment()
     env.process(_noop(env))
-    env.step()  # init event
+    env.run(until=env.now)  # the process start at t=0
     assert env.peek() == 3.0
     env.run()
     assert env.peek() == float("inf")
@@ -363,3 +363,77 @@ def test_daemon_flag_marks_service_processes():
     assert worker.daemon is False
     assert service.daemon is True
     env.run()
+
+
+# ------------------------------------------------------- cohort dispatch
+# run() drains every event at one instant in a single pass; these pin
+# the per-event semantics that pass must keep.
+def _waker(env, log, tag, delay, fail=False):
+    yield env.timeout(delay)
+    log.append(tag)
+    if fail:
+        raise RuntimeError(f"crash in {tag}")
+
+
+def test_crash_mid_cohort_leaves_rest_of_instant_resumable():
+    env = Environment()
+    log = []
+    env.process(_waker(env, log, "a", 1))
+    env.process(_waker(env, log, "b", 1, fail=True))
+    env.process(_waker(env, log, "c", 1))
+    with pytest.raises(RuntimeError, match="crash in b"):
+        env.run()
+    # the crash surfaced right after b's event; c is still queued at t=1
+    assert log == ["a", "b"]
+    assert env.now == 1
+    assert env.peek() == 1.0
+    env.run()
+    assert log == ["a", "b", "c"]
+    assert env.now == 1
+
+
+def test_run_until_event_stops_mid_cohort():
+    env = Environment()
+    log = []
+    stop = env.timeout(1, value="stop")  # scheduled first, pops first at t=1
+    for tag in "abc":
+        env.process(_waker(env, log, tag, 1))
+    assert env.run(until=stop) == "stop"
+    assert log == []
+    assert env.now == 1
+    assert env.peek() == 1.0
+    env.run()
+    assert log == ["a", "b", "c"]
+
+
+def test_run_until_time_processes_events_at_exactly_that_time():
+    env = Environment()
+    log = []
+    for d in (1, 2, 2, 3):
+        env.process(_waker(env, log, d, d))
+    env.run(until=2)
+    assert log == [1, 2, 2]
+    assert env.now == 2
+    assert env.peek() == 3.0
+    env.run(until=2)  # nothing left at t=2; the clock stays put
+    assert log == [1, 2, 2]
+    assert env.now == 2
+
+
+def test_cohort_counters_on_hand_built_program():
+    env = Environment()
+
+    def proc(first):
+        yield env.timeout(first)
+        yield env.timeout(1)
+
+    for first in (1, 1, 2):
+        env.process(proc(first))
+    env.run()
+    # t=0: 3 process starts; t=1: 2 timeouts; t=2: 3 timeouts + 2
+    # process exits; t=3: 1 timeout + 1 process exit
+    assert env.events_processed == 12
+    assert env.instants == 4
+    assert env.max_instant_batch == 5
+    assert env.peak_queue_len == 3
+    assert env.now == 3

@@ -1,6 +1,7 @@
 """Unit tests for repro.trace: tracer, metrics, exporters, assertions, CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,11 @@ from repro.trace import (
 )
 from repro.trace.assertions import TraceAssertions
 from repro.trace.export import chrome_events, write_chrome, write_jsonl
+
+GOLDEN = (
+    Path(__file__).resolve().parent.parent
+    / "benchmarks" / "results" / "BENCH_kernel.json"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +360,22 @@ def test_cli_unknown_scenario_exit_code(tmp_path, capsys):
 
     assert main(["--scenario", "no_such", "--out", str(tmp_path / "x")]) == 2
     assert "unknown scenario" in capsys.readouterr().err
+
+
+def test_cli_default_seed_reproduces_golden_headline(tmp_path):
+    """Without --seed each scenario runs on its own default seed, so a
+    traced S1 (default seed 1001) reports the committed golden headline."""
+    from repro.perf import compare_headlines, load_report
+    from repro.trace.__main__ import main
+
+    base = tmp_path / "s1"
+    assert main(["--scenario", "s1_scheduler", "--out", str(base)]) == 0
+    with open(f"{base}.jsonl", encoding="utf-8") as fh:
+        meta = json.loads(fh.readline())["meta"]
+    assert meta["seed"] is None
+    golden = load_report(GOLDEN)
+    report = {"scenarios": {"s1_scheduler": {"headline": meta["headline"]}}}
+    assert compare_headlines(report, golden, names=["s1_scheduler"]) == []
 
 
 def test_tracing_does_not_perturb_simulated_results():
