@@ -7,7 +7,10 @@ and simulated time comes from ``env.now`` — never from the host's
 ``os.urandom``, or module-level ``numpy.random`` state.  Iterating a
 ``set`` literal/constructor directly is also flagged: element order
 depends on the interpreter's hash seed, which silently reorders
-otherwise-deterministic runs.
+otherwise-deterministic runs.  So is a call to the builtin ``hash()``:
+``str`` and ``bytes`` hashes are salted per process, so any choice
+derived from one (a node picked by ``hash(volume) % n``) changes from
+run to run; ``zlib.crc32`` is the stable replacement.
 
 ``sim/rng.py`` (the stream factory itself) and ``faults.py`` (which
 seeds its plans through RandomStreams) are allowlisted.
@@ -97,6 +100,12 @@ class DeterminismRule(Rule):
                         "(host entropy/clock); use RandomStreams / env.now",
                     )
         elif isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id == "hash":
+                return self._finding(
+                    module, node,
+                    "call to builtin hash() (salted per process for str/bytes); "
+                    "use a stable digest such as zlib.crc32",
+                )
             chain = dotted_name(node.func)
             if chain is None:
                 return None

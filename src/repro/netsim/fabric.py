@@ -311,6 +311,11 @@ class Fabric:
         """Number of fair-share solves performed (perf accounting)."""
         return self._alloc.solves
 
+    @property
+    def solve_work(self) -> tuple[int, int]:
+        """(flows, route classes) summed over every solve's closure."""
+        return self._alloc.closure_flows, self._alloc.closure_classes
+
     # ------------------------------------------------------------------
     # topology
     # ------------------------------------------------------------------

@@ -5,22 +5,13 @@ max-min fair allocation repeatedly finds the most-constrained link (the one
 whose equal share per unfrozen flow is smallest), freezes every flow through
 it at that share, removes the consumed capacity, and iterates.
 
-The solver is a pure function so it can be property-tested in isolation;
-the fabric calls it on every flow arrival/departure.
-
-Two incremental backends share the same bookkeeping:
-
-* a **vectorised** water-filler (numpy, scipy-free) that keeps link
-  capacities, per-flow weights and the flow->link route incidence in
-  preallocated flat arrays and solves each dirty component with
-  ``bincount``/``subtract.at`` rounds;
-* the original **scalar** dict walker, used until the owner promotes
-  the allocator and for closures too small to repay numpy call overhead.
-
-Both accumulate per-link weight/capacity totals in ascending-flow-id
-order, so for the integer, monotonically assigned flow ids the fabric
-uses the two backends are *bit-identical* — the perf goldens hold under
-either one.
+:func:`max_min_fair_rates` is the batch solver, a pure function kept as
+the property-test oracle.  :class:`MaxMinAllocator` is its incremental
+equivalent that the fabric drives on every flow arrival/departure: it
+groups flows with the same route and weight into *route classes* and
+water-fills over classes, falling back to a per-flow numpy solve for
+closures where classes do not compress.  The two solves are
+bit-identical, so the perf goldens hold under either one.
 """
 
 from __future__ import annotations
@@ -134,79 +125,92 @@ def max_min_fair_rates(
 
 _INF = float("inf")
 
-#: initial capacities of the preallocated incidence arrays
+#: initial capacities of the preallocated vector-mode arrays
 _SLOT_CAP0 = 64
 _LINK_CAP0 = 64
 _ENT_CAP0 = 256
 
-#: closures with fewer route entries than this solve faster through the
-#: scalar dict walk than through numpy call overhead (both backends are
-#: bit-identical, so the switch is invisible to results)
-_VEC_MIN_ENTRIES = 64
+#: in vector mode, closures with at least this many class-route entries
+#: (the summed route lengths of their classes) go to the numpy
+#: water-filler; smaller ones — and every closure before promotion — are
+#: water-filled over classes in plain Python.  Both solves are
+#: bit-identical, so the switch is invisible to results.
+_VEC_MIN_CLASS_ENTRIES = 128
 
 
 class MaxMinAllocator:
-    """Incremental weighted max-min fair allocator.
+    """Incremental weighted max-min fair allocator over route classes.
 
-    Maintains the flow/link incidence structure across events so the
-    fabric does not rebuild the whole problem on every flow arrival,
-    departure or capacity change.  Three mechanisms make it fast:
+    Maintains the flow/link incidence across events so the fabric does
+    not rebuild the whole problem on every flow arrival, departure or
+    capacity change.  Flows that share one (route, weight) key form a
+    **route class**: they cross the same links with the same weight, so
+    max-min gives them the same rate, and the solver works on classes.
+    A rate-capped flow's route ends in its private ``("__cap__", fid)``
+    link, so it is always a class of its own.  Three mechanisms make it
+    fast:
 
-    * **short-circuits** — a flow whose links carry no other flow (and
+    * **short-circuits** — a flow whose links carry no other class (and
       the cap-only / link-less flows) gets its rate in O(route length)
-      with no global solve, and provably cannot move anyone else's
-      bottleneck;
+      with no solve, and provably cannot move anyone else's bottleneck;
     * **dirty-link closure** — an event dirties only the touched route;
-      :meth:`flush` recomputes just the flows reachable from dirty links
-      through shared links (the affected connected components), leaving
-      every other component's rates untouched;
-    * **vectorised water-filling** — once promoted, each closure
-      solve gathers the affected rows of the persistent flow/link
-      incidence arrays and runs the freeze rounds as whole-array
-      ``bincount`` / ``subtract.at`` operations; per-link weight totals
-      are maintained across rounds by subtraction, so a solve costs
-      O(route-length) array work plus O(rounds) vector ops instead of
-      O(rounds x flows x route-length) dict walks.  Before promotion the
-      original scalar round loop runs instead.
+      :meth:`flush` re-solves just the classes reachable from dirty links
+      through shared links (link -> class -> link), leaving every other
+      component's rates untouched;
+    * **class water-filling** — a closure is water-filled over its
+      classes, so a trunk that many movers share costs one entry per
+      class, not one per flow.  Once promoted, closures whose classes do
+      not compress (at least ``_VEC_MIN_CLASS_ENTRIES`` class-route
+      entries) take a per-flow numpy solve over persistent incidence
+      arrays instead.
 
     Max-min fairness decomposes over connected components of the
-    flow-link incidence graph (no shared link, no interaction), so the
-    closure-restricted solve yields the same allocation as the batch
-    :func:`max_min_fair_rates` oracle up to float-summation order; the
-    property tests pin the two together across randomized topologies.
+    flow-link incidence graph, so the closure-restricted solve yields the
+    same allocation as the batch :func:`max_min_fair_rates` oracle up to
+    float-summation order; the property tests pin the two together.
 
-    Iteration order is made explicit (sorted links, ascending flow ids)
-    wherever it affects float accumulation, preserving the kernel's
-    bit-identical-replay guarantee across processes *and* across the
-    scalar/vector backends.
+    Bit-identity: every per-link float fold yields what a per-flow
+    water-filler visiting flows in ascending fid would.  On a link whose
+    flows all weigh 1.0 the weight total is the exact integer flow count
+    and every frozen flow subtracts the same share, so order cannot
+    matter; links with other weights fold and subtract flow by flow in
+    ascending fid.  The numpy solve walks flows in ascending fid too —
+    slot order, unless flows registered out of fid order — so the class
+    solve, the numpy solve and a per-flow reference agree to the bit.
 
-    Slots: every flow gets an integer *slot* (append-only; freed slots
-    are reclaimed by an order-preserving compaction when the dead
-    outnumber the live).  ``_vrates[slot]`` is the authoritative rate
-    store in vector mode — the fabric shares this numbering for its own
-    per-flow arrays and registers :attr:`on_compact` to renumber in
-    lockstep.
+    Slots (vector mode): every flow gets an integer *slot* (append-only;
+    dead slots are reclaimed by an order-preserving compaction when they
+    outnumber the live).  ``_vrates[slot]`` is the rate store the fabric
+    reads; a class solve refreshes it with one gather from the per-class
+    rates.  The fabric shares this numbering for its own per-flow arrays
+    and registers :attr:`on_compact` to renumber in lockstep.
     """
 
     __slots__ = (
         "_caps",
-        "_flow_links",
-        "_weights",
-        "_link_flows",
-        "_rates",
+        "_fcls",
+        "_cls_of",
+        "_croute",
+        "_cw",
+        "_cmem",
+        "_crate",
+        "_free_cls",
+        "_link_cls",
         "_dirty",
         "solves",
+        "closure_flows",
+        "closure_classes",
         "vec",
         "vec_auto",
         "on_compact",
         "_fid2slot",
-        "_slot2fid",
-        "_li2lk",
+        "_slots_by_fid",
         "_nslots",
         "_dead_slots",
-        "_vw",
         "_valive",
         "_vrates",
+        "_vcls",
+        "_vw",
         "_blk0",
         "_blk1",
         "_lk2li",
@@ -221,50 +225,62 @@ class MaxMinAllocator:
     def __init__(self, vec: Optional[bool] = None) -> None:
         #: link id -> capacity (includes per-flow virtual cap links)
         self._caps: dict[Hashable, float] = {}
-        #: flow id -> tuple of link ids (virtual cap link last, if any)
-        self._flow_links: dict[Hashable, tuple[Hashable, ...]] = {}
-        self._weights: dict[Hashable, float] = {}
-        #: link id -> set of flow ids currently crossing it
-        self._link_flows: dict[Hashable, set[Hashable]] = {}
-        #: fid -> rate (scalar backend only; vector mode reads ``_vrates``)
-        self._rates: dict[Hashable, float] = {}
-        #: links whose flow set / capacity changed since the last flush
+        #: flow id -> class id, in registration order
+        self._fcls: dict[Hashable, int] = {}
+        #: (route, weight) -> class id of the live uncapped classes
+        self._cls_of: dict[tuple, int] = {}
+        #: class id -> route tuple (virtual cap link last, if any)
+        self._croute: list[tuple] = []
+        #: class id -> weight
+        self._cw: list[float] = []
+        #: class id -> member flow ids (None once the class id is freed)
+        self._cmem: list[Optional[set]] = []
+        #: class id -> settled rate: a list on the scalar engine, a numpy
+        #: array (grown on demand) that the vector engine gathers from
+        self._crate = _np.zeros(_SLOT_CAP0) if vec else []
+        self._free_cls: list[int] = []
+        #: link id -> set of class ids currently crossing it
+        self._link_cls: dict[Hashable, set[int]] = {}
+        #: links whose class set / capacity changed since the last flush
         self._dirty: set[Hashable] = set()
         #: number of closure solves performed (perf accounting)
         self.solves = 0
+        #: flows / classes summed over every closure solved (their ratio
+        #: is the compression the class solve buys)
+        self.closure_flows = 0
+        self.closure_classes = 0
         #: True when the numpy backend is active.  The default
-        #: (``vec=None``) starts scalar and lets the owner call
+        #: (``vec=None``) starts without it and lets the owner call
         #: :meth:`promote` once the population justifies array overhead;
-        #: ``vec=True`` activates arrays immediately.
+        #: ``vec=True`` activates the arrays immediately.
         self.vec = bool(vec)
-        #: True when :meth:`promote` may still switch this instance to
-        #: the vector backend
+        #: True when :meth:`promote` may still switch this instance on
         self.vec_auto = vec is None
         #: called with the kept-slot index array after a slot compaction,
         #: so array sharers (the fabric flow table) renumber in lockstep
         self.on_compact = None
         self._fid2slot: dict[Hashable, int] = {}
-        #: slot -> fid (vector mode; inverse of _fid2slot, compacted in step)
-        self._slot2fid: list = []
-        #: link index -> link id (vector mode; inverse of _lk2li)
-        self._li2lk: list = []
+        #: True while slot order is ascending fid order (flows have
+        #: registered in fid order), so the numpy solve needs no sort
+        self._slots_by_fid = True
         self._nslots = 0
         self._dead_slots = 0
-        if self.vec:
-            self._alloc_arrays()
-        else:
-            self._vw = self._valive = self._vrates = None
-            self._blk0 = self._blk1 = None
-            self._vcap = self._ent_f = self._ent_l = None
         self._lk2li: dict[Hashable, int] = {}
         self._free_li: list[int] = []
         self._nlinks = 0
         self._nent = 0
+        if self.vec:
+            self._alloc_arrays()
+        else:
+            self._valive = self._vrates = self._vcls = self._vw = None
+            self._blk0 = self._blk1 = None
+            self._vcap = self._ent_f = self._ent_l = None
 
     def _alloc_arrays(self) -> None:
-        self._vw = _np.zeros(_SLOT_CAP0)
         self._valive = _np.zeros(_SLOT_CAP0, dtype=bool)
         self._vrates = _np.zeros(_SLOT_CAP0)
+        self._vcls = _np.zeros(_SLOT_CAP0, dtype=_np.intp)
+        self._vw = _np.zeros(_SLOT_CAP0)
         self._blk0 = _np.zeros(_SLOT_CAP0, dtype=_np.intp)
         self._blk1 = _np.zeros(_SLOT_CAP0, dtype=_np.intp)
         self._vcap = _np.zeros(_LINK_CAP0)
@@ -272,14 +288,13 @@ class MaxMinAllocator:
         self._ent_l = _np.zeros(_ENT_CAP0, dtype=_np.intp)
 
     def promote(self) -> None:
-        """Switch this allocator from the scalar to the vector backend.
+        """Switch this allocator on to the numpy backend.
 
-        One-way and value-preserving: every dict structure stays
-        authoritative for topology, slots are assigned in registration
-        (``_flow_links`` insertion) order — the same order incremental
-        ``add_flow`` would have produced — and ``_vrates`` is seeded
-        from the scalar rate store, so the switch changes no observable
-        rate.  No-op when already in vector mode.
+        One-way and value-preserving: slots are assigned in registration
+        order — the order incremental :meth:`add_flow` calls would have
+        produced — and each slot's rate is seeded from its class, so the
+        switch changes no settled rate.  No-op when already in vector
+        mode.
         """
         if self.vec:
             return
@@ -288,31 +303,15 @@ class MaxMinAllocator:
         self._alloc_arrays()
         for lk, cap in self._caps.items():
             self._li_alloc(lk, cap)
-        rates = self._rates
-        lk2li = self._lk2li
-        for fid, route in self._flow_links.items():
-            slot = self._nslots
-            self._nslots += 1
-            if slot >= len(self._vw):
-                self._grow_slots()
-            self._fid2slot[fid] = slot
-            self._slot2fid.append(fid)
-            self._vw[slot] = self._weights[fid]
-            self._valive[slot] = True
-            k = len(route)
-            ne = self._nent
-            if ne + k > len(self._ent_f):
-                self._grow_entries(ne + k)
-            if k:
-                self._ent_f[ne : ne + k] = slot
-                self._ent_l[ne : ne + k] = [lk2li[lk] for lk in route]
-            self._blk0[slot] = ne
-            self._blk1[slot] = ne + k
-            self._nent = ne + k
-            self._vrates[slot] = rates.get(fid, 0.0)
-        self._rates = {}
+        croute = self._croute
+        for fid, cid in self._fcls.items():
+            self._add_slot(fid, cid, croute[cid])
+        self._crate = _np.array(self._crate, dtype=float)
+        n = self._nslots
+        if n:
+            self._vrates[:n] = self._crate[self._vcls[:n]]
 
-    # -- array plumbing (vector backend) -------------------------------
+    # -- array plumbing (vector mode) ----------------------------------
     def slot_of(self, fid: Hashable) -> int:
         """The flow's slot in the shared per-flow arrays (vector mode)."""
         return self._fid2slot[fid]
@@ -328,17 +327,41 @@ class MaxMinAllocator:
         if li is None:
             if self._free_li:
                 li = self._free_li.pop()
-                self._li2lk[li] = link
             else:
                 li = self._nlinks
                 self._nlinks += 1
-                self._li2lk.append(link)
                 if li >= len(self._vcap):
                     grown = _np.zeros(2 * len(self._vcap))
                     grown[:li] = self._vcap[:li]
                     self._vcap = grown
             self._lk2li[link] = li
         self._vcap[li] = capacity
+
+    def _add_slot(self, fid: Hashable, cid: int, route: tuple) -> int:
+        """Give a new flow the next slot and its route entries."""
+        slot = self._nslots
+        self._nslots += 1
+        if slot >= len(self._vw):
+            self._grow_slots()
+        if self._slots_by_fid and self._fid2slot:
+            # _fid2slot is in slot order: its last key is the newest flow
+            self._slots_by_fid = fid > next(reversed(self._fid2slot))
+        self._fid2slot[fid] = slot
+        self._valive[slot] = True
+        self._vcls[slot] = cid
+        self._vw[slot] = self._cw[cid]
+        k = len(route)
+        ne = self._nent
+        if ne + k > len(self._ent_f):
+            self._grow_entries(ne + k)
+        if k:
+            lk2li = self._lk2li
+            self._ent_f[ne : ne + k] = slot
+            self._ent_l[ne : ne + k] = [lk2li[lk] for lk in route]
+        self._blk0[slot] = ne
+        self._blk1[slot] = ne + k
+        self._nent = ne + k
+        return slot
 
     def _grow_slots(self) -> None:
         cap = len(self._vw)
@@ -349,7 +372,7 @@ class MaxMinAllocator:
         grown_b = _np.zeros(2 * cap, dtype=bool)
         grown_b[:cap] = self._valive
         self._valive = grown_b
-        for name in ("_blk0", "_blk1"):
+        for name in ("_vcls", "_blk0", "_blk1"):
             grown_i = _np.zeros(2 * cap, dtype=_np.intp)
             grown_i[:cap] = getattr(self, name)
             setattr(self, name, grown_i)
@@ -365,8 +388,8 @@ class MaxMinAllocator:
     def _compact_slots(self) -> None:
         """Drop dead slots/entries, preserving the live flows' order.
 
-        Relative (== ascending-fid) order is what keeps the vector
-        backend's float accumulation identical to the scalar one, so the
+        Relative (== registration) order is what keeps the numpy solve's
+        float accumulation identical to the class solve, so the
         compaction is a stable filter, never a free-list.
         """
         np = _np
@@ -378,25 +401,26 @@ class MaxMinAllocator:
         emask = self._valive[self._ent_f[:ne]]
         new_ent_f = self._ent_f[:ne][emask]
         new_ent_l = self._ent_l[:ne][emask]
-        lens = (self._blk1[keep] - self._blk0[keep])
+        lens = self._blk1[keep] - self._blk0[keep]
         nb1 = np.cumsum(lens)
         nb0 = nb1 - lens
-        # renumber slots
         old2new = np.full(n, -1, dtype=np.intp)
         old2new[keep] = np.arange(k, dtype=np.intp)
         cap = max(_SLOT_CAP0, 2 * k)
         vw = np.zeros(cap)
         vrates = np.zeros(cap)
         valive = np.zeros(cap, dtype=bool)
+        vcls = np.zeros(cap, dtype=np.intp)
         blk0 = np.zeros(cap, dtype=np.intp)
         blk1 = np.zeros(cap, dtype=np.intp)
         vw[:k] = self._vw[keep]
         vrates[:k] = self._vrates[keep]
         valive[:k] = True
+        vcls[:k] = self._vcls[keep]
         blk0[:k] = nb0
         blk1[:k] = nb1
         self._vw, self._vrates, self._valive = vw, vrates, valive
-        self._blk0, self._blk1 = blk0, blk1
+        self._vcls, self._blk0, self._blk1 = vcls, blk0, blk1
         ecap = max(_ENT_CAP0, 2 * len(new_ent_f))
         ent_f = np.zeros(ecap, dtype=np.intp)
         ent_l = np.zeros(ecap, dtype=np.intp)
@@ -404,11 +428,9 @@ class MaxMinAllocator:
         ent_l[: len(new_ent_l)] = new_ent_l
         self._ent_f, self._ent_l = ent_f, ent_l
         self._nent = int(len(new_ent_f))
-        self._fid2slot = {
-            fid: int(old2new[s]) for fid, s in self._fid2slot.items()
-        }
-        s2f = self._slot2fid
-        self._slot2fid = [s2f[i] for i in keep.tolist()]
+        # _fid2slot iterates in ascending-slot order, so a live flow's
+        # new slot is its rank
+        self._fid2slot = {fid: s for s, fid in enumerate(self._fid2slot)}
         self._nslots = k
         self._dead_slots = 0
         if self.on_compact is not None:
@@ -423,7 +445,7 @@ class MaxMinAllocator:
         self._caps[link] = capacity
         if self.vec:
             self._li_alloc(link, capacity)
-        if self._link_flows.get(link):
+        if link in self._link_cls:
             self._dirty.add(link)
 
     # -- flows ---------------------------------------------------------
@@ -437,104 +459,119 @@ class MaxMinAllocator:
         """Add a flow; returns its rate when decidable without a solve.
 
         Returns the final rate for the short-circuit cases (no links, or
-        no link shared with another flow) and ``None`` when the affected
-        component must be re-solved — call :meth:`flush` to settle.
+        no link shared with another class) and ``None`` when the
+        affected component must be re-solved — call :meth:`flush` to
+        settle.
         """
-        if fid in self._flow_links:
+        if fid in self._fcls:
             raise ValueError(f"duplicate flow id {fid!r}")
+        caps = self._caps
         route = list(links)
         for lk in route:
-            if lk not in self._caps:
+            if lk not in caps:
                 raise KeyError(f"flow {fid!r} references unknown link {lk!r}")
         if rate_cap != _INF:
             vlink = ("__cap__", fid)
-            self._caps[vlink] = float(rate_cap)
+            caps[vlink] = float(rate_cap)
             if self.vec:
                 self._li_alloc(vlink, float(rate_cap))
             route.append(vlink)
-        self._flow_links[fid] = tuple(route)
-        self._weights[fid] = float(weight)
+        route = tuple(route)
+        weight = float(weight)
+        free = self._free_cls
+        next_cid = free[-1] if free else len(self._cmem)
+        if rate_cap == _INF:
+            cid = self._cls_of.setdefault((route, weight), next_cid)
+        else:
+            # the private cap link makes the flow a class of its own, so
+            # capped classes are never looked up or registered by key
+            cid = next_cid
+        new_cls = cid == next_cid
+        if not new_cls:
+            self._cmem[cid].add(fid)
+        elif free:
+            free.pop()
+            self._croute[cid] = route
+            self._cw[cid] = weight
+            self._cmem[cid] = {fid}
+            self._crate[cid] = 0.0
+        else:
+            self._croute.append(route)
+            self._cw.append(weight)
+            self._cmem.append({fid})
+            if not self.vec:
+                self._crate.append(0.0)
+            elif cid >= len(self._crate):
+                self._crate = _np.concatenate(
+                    (self._crate, _np.zeros(max(cid, _SLOT_CAP0)))
+                )
+        self._fcls[fid] = cid
 
         slot = -1
         if self.vec:
             if self._dead_slots > 32 and self._dead_slots * 2 > self._nslots:
                 self._compact_slots()
-            slot = self._nslots
-            self._nslots += 1
-            if slot >= len(self._vw):
-                self._grow_slots()
-            self._fid2slot[fid] = slot
-            self._slot2fid.append(fid)
-            self._vw[slot] = self._weights[fid]
-            self._valive[slot] = True
-            k = len(route)
-            ne = self._nent
-            if ne + k > len(self._ent_f):
-                self._grow_entries(ne + k)
-            if k:
-                lk2li = self._lk2li
-                self._ent_f[ne : ne + k] = slot
-                self._ent_l[ne : ne + k] = [lk2li[lk] for lk in route]
-            self._blk0[slot] = ne
-            self._blk1[slot] = ne + k
-            self._nent = ne + k
+            slot = self._add_slot(fid, cid, route)
 
+        rate = None
         if not route:
-            if self.vec:
-                self._vrates[slot] = _INF
-            else:
-                self._rates[fid] = _INF
-            return _INF
-
-        shared = False
-        for lk in route:
-            peers = self._link_flows.get(lk)
-            if peers is None:
-                self._link_flows[lk] = {fid}
-            else:
-                shared = shared or bool(peers)
-                peers.add(fid)
-        if not shared:
-            # Alone on every link: my rate is the tightest capacity and
-            # nobody else's bottleneck moved.
-            rate = min(self._caps[lk] for lk in route)
-            if self.vec:
-                self._vrates[slot] = rate
-            else:
-                self._rates[fid] = rate
-            return rate
-        if self.vec:
-            self._vrates[slot] = 0.0
-        else:
-            self._rates[fid] = 0.0
-        self._dirty.update(route)
-        return None
+            rate = _INF
+        elif new_cls:
+            shared = False
+            link_cls = self._link_cls
+            for lk in route:
+                peers = link_cls.get(lk)
+                if peers is None:
+                    link_cls[lk] = {cid}
+                else:
+                    shared = True
+                    peers.add(cid)
+            if not shared:
+                # Alone on every link: my rate is the tightest capacity and
+                # nobody else's bottleneck moved.
+                rate = min(caps[lk] for lk in route)
+        if rate is None:
+            # Joined a class or a shared link: settled at the next flush.
+            self._dirty.update(route)
+            if slot >= 0:
+                self._vrates[slot] = 0.0
+            return None
+        self._crate[cid] = rate
+        if slot >= 0:
+            self._vrates[slot] = rate
+        return rate
 
     def remove_flow(self, fid: Hashable) -> None:
         """Remove a flow, dirtying links it shared with surviving flows."""
-        route = self._flow_links.pop(fid)
-        del self._weights[fid]
+        cid = self._fcls.pop(fid)
         if self.vec:
             slot = self._fid2slot.pop(fid)
             self._valive[slot] = False
             self._dead_slots += 1
-        else:
-            self._rates.pop(fid, None)
+        members = self._cmem[cid]
+        members.discard(fid)
+        route = self._croute[cid]
+        if members:
+            # the class's survivors still cross every link of the route
+            self._dirty.update(route)
+            return
+        self._cmem[cid] = None
+        self._free_cls.append(cid)
+        link_cls = self._link_cls
         for lk in route:
-            peers = self._link_flows.get(lk)
-            if peers is not None:
-                peers.discard(fid)
-                if peers:
-                    self._dirty.add(lk)
-                else:
-                    del self._link_flows[lk]
+            peers = link_cls[lk]
+            peers.discard(cid)
+            if peers:
+                self._dirty.add(lk)
+            else:
+                del link_cls[lk]
         if route and route[-1] == ("__cap__", fid):
             del self._caps[route[-1]]
+            self._dirty.discard(route[-1])
             if self.vec:
-                li = self._lk2li.pop(route[-1])
-                self._li2lk[li] = None
-                self._free_li.append(li)
-        self._dirty.discard(("__cap__", fid))
+                self._free_li.append(self._lk2li.pop(route[-1]))
+        else:
+            del self._cls_of[(route, self._cw[cid])]
 
     # -- solving -------------------------------------------------------
     @property
@@ -545,20 +582,16 @@ class MaxMinAllocator:
         """Current rate of *fid* (flush first for a settled value)."""
         if self.vec:
             return float(self._vrates[self._fid2slot[fid]])
-        return self._rates[fid]
+        return self._crate[self._fcls[fid]]
 
     @property
     def rates(self) -> dict[Hashable, float]:
-        """fid -> rate mapping (flush first for settled values).
-
-        In vector mode this materialises a fresh dict from the rate
-        array (an O(flows) convenience view for tests and inspection —
-        the fabric hot path reads ``_vrates`` by slot instead).
-        """
+        """A fresh fid -> rate mapping (flush first for settled values)."""
         if self.vec:
             vr = self._vrates
             return {fid: float(vr[s]) for fid, s in self._fid2slot.items()}
-        return self._rates
+        crate = self._crate
+        return {fid: crate[c] for fid, c in self._fcls.items()}
 
     def flush(self, collect: bool = True) -> dict[Hashable, float]:
         """Re-solve the components reachable from dirty links.
@@ -570,139 +603,176 @@ class MaxMinAllocator:
         """
         if not self._dirty:
             return {}
-        if self.vec:
-            flows, links, slots, lis = self._closure_vec()
-            self._dirty.clear()
-            if not flows:
-                return {}
-            self.solves += 1
-            nent = int((self._blk1[slots] - self._blk0[slots]).sum())
-            if nent >= _VEC_MIN_ENTRIES:
-                rates_f = self._solve_vec(flows, links, slots, lis)
-                if not collect:
-                    return {}
-                return dict(zip(flows, rates_f.tolist()))
-            # Small component: the dict walk beats numpy call overhead
-            # (bit-identical results, so the switch is invisible).
-            updated = self._solve(flows, links)
-            vrates = self._vrates
-            fid2slot = self._fid2slot
-            for fid, r in updated.items():
-                vrates[fid2slot[fid]] = r
-            return updated if collect else {}
-        flows, links = self._closure()
+        link_cls = self._link_cls
+        croute = self._croute
+        cmem = self._cmem
+        # Closure: classes and links reachable from the dirty links
+        # (link -> class -> link).
+        links = {lk for lk in self._dirty if lk in link_cls}
         self._dirty.clear()
-        if not flows:
+        classes: set[int] = set()
+        stack = list(links)
+        while stack:
+            new = link_cls[stack.pop()] - classes
+            if new:
+                classes |= new
+                for c in new:
+                    for lk in croute[c]:
+                        if lk not in links:
+                            links.add(lk)
+                            stack.append(lk)
+        if not classes:
             return {}
         self.solves += 1
-        updated = self._solve(flows, links)
-        self._rates.update(updated)
-        return updated
+        self.closure_classes += len(classes)
+        crate = self._crate
+        # every class has at least one route entry, so only closures of
+        # fewer classes than the threshold need their entries counted
+        if self.vec and (
+            len(classes) >= _VEC_MIN_CLASS_ENTRIES
+            or sum(map(len, map(croute.__getitem__, classes)))
+            >= _VEC_MIN_CLASS_ENTRIES
+        ):
+            self.closure_flows += self._solve_vec(classes, links)
+        else:
+            self.closure_flows += sum(map(len, map(cmem.__getitem__, classes)))
+            self._solve(classes, links)
+            if self.vec:
+                n = self._nslots
+                self._vrates[:n] = crate[self._vcls[:n]]
+        if not collect:
+            return {}
+        if self.vec:
+            crate = crate.tolist()
+        return {fid: crate[c] for c in classes for fid in cmem[c]}
 
-    def _closure(self) -> tuple[list[Hashable], list[Hashable]]:
-        """Flows and links transitively connected to any dirty link."""
-        link_flows = self._link_flows
-        flow_links = self._flow_links
-        seen_links: set[Hashable] = set()
-        seen_flows: set[Hashable] = set()
-        stack = [lk for lk in self._dirty if lk in link_flows]
-        seen_links.update(stack)
-        while stack:
-            lk = stack.pop()
-            for fid in link_flows[lk]:
-                if fid in seen_flows:
-                    continue
-                seen_flows.add(fid)
-                for nlk in flow_links[fid]:
-                    if nlk not in seen_links:
-                        seen_links.add(nlk)
-                        stack.append(nlk)
-        # Deterministic processing order regardless of set/hash history:
-        # flow ids are sortable ints in the fabric; link ids are strings
-        # or ("__cap__", fid) tuples, ordered by repr for mixed types.
-        flows = sorted(seen_flows)
-        links = sorted(seen_links, key=repr)
-        return flows, links
+    def _solve(self, classes: set[int], links: set[Hashable]) -> None:
+        """Water-fill one closure over its route classes (plain Python).
 
-    def _closure_vec(self):
-        """Vectorised :meth:`_closure` (numpy backend).
-
-        Runs the alternating flow/link reachability fixpoint as boolean
-        mask passes over the global entry arrays instead of a Python BFS
-        over sets — O(rounds · live entries) numpy work, with rounds
-        bounded by the component's bipartite diameter (tiny in practice).
-        Returns ``(flows, links, slots, lis)`` where *flows*/*links* are
-        the exact lists :meth:`_closure` would return (same sets, same
-        sort) and *slots*/*lis* are the matching index arrays, saving the
-        solver's per-call dict lookups.
+        Writes each class's rate into ``_crate``; see the class docstring
+        for why the float arithmetic matches a per-flow solve exactly.
         """
-        np = _np
-        link_flows = self._link_flows
-        lk2li = self._lk2li
-        seed = [lk2li[lk] for lk in self._dirty if lk in link_flows]
-        if not seed:
-            return [], [], None, None
-        ne = self._nent
-        ent_f = self._ent_f[:ne]
-        # Entries of removed flows linger until compaction (and their
-        # freed cap-link indices may have been reused), so mask to live
-        # flows before any reachability pass.
-        live = self._valive[ent_f]
-        ent_f = ent_f[live]
-        ent_l = self._ent_l[:ne][live]
-        fmask = np.zeros(self._nslots, dtype=bool)
-        lmask = np.zeros(self._nlinks, dtype=bool)
-        lmask[seed] = True
+        link_cls = self._link_cls
+        cw = self._cw
+        cmem = self._cmem
+        crate = self._crate
+
+        remaining = {lk: self._caps[lk] for lk in links}
+        #: weight total of the unfrozen flows of each link that still has
+        #: some.  An inexact total is kept by subtraction and may hold an
+        #: epsilon residue, so links leave it when their exact count
+        #: ``n_on`` reaches zero, never by testing the total.
+        tot_w: dict[Hashable, float] = {}
+        n_on: dict[Hashable, int] = {}
+        #: links whose flows all weigh 1.0
+        unit: set[Hashable] = set()
+        #: link -> its flows' classes in ascending fid order (other links)
+        order: dict[Hashable, list[int]] = {}
+        for lk in links:
+            on = link_cls[lk]
+            n = 0
+            all_unit = True
+            for c in on:
+                n += len(cmem[c])
+                if cw[c] != 1.0:
+                    all_unit = False
+            if all_unit:
+                unit.add(lk)
+                t = float(n)
+            else:
+                fids: list = []
+                for c in on:
+                    fids.extend(cmem[c])
+                fids.sort()
+                seq = order[lk] = list(map(self._fcls.__getitem__, fids))
+                t = 0.0
+                for c in seq:
+                    t += cw[c]
+            tot_w[lk] = t
+            n_on[lk] = n
+
+        active = set(classes)
         while True:
-            newf = lmask[ent_l] & ~fmask[ent_f]
-            if not newf.any():
-                break
-            fmask[ent_f[newf]] = True
-            newl = fmask[ent_f] & ~lmask[ent_l]
-            if not newl.any():
-                break
-            lmask[ent_l[newl]] = True
-        slots = np.nonzero(fmask)[0]
-        lis = np.nonzero(lmask)[0]
-        # Match the scalar closure's deterministic output order: flows
-        # ascending by fid, links by repr.  Slot order is registration
-        # order, which normally *is* fid order, but reorder defensively.
-        s2f = self._slot2fid
-        fids = [s2f[s] for s in slots.tolist()]
-        order = sorted(range(len(fids)), key=fids.__getitem__)
-        if order != list(range(len(order))):
-            slots = slots[np.array(order, dtype=np.intp)]
-            fids = [fids[i] for i in order]
-        l2k = self._li2lk
-        keys = [l2k[i] for i in lis.tolist()]
-        korder = sorted(range(len(keys)), key=lambda i: repr(keys[i]))
-        if korder != list(range(len(korder))):
-            lis = lis[np.array(korder, dtype=np.intp)]
-            keys = [keys[i] for i in korder]
-        return fids, keys, slots, lis
+            shares = {
+                lk: remaining[lk] / t for lk, t in tot_w.items() if t > 0.0
+            }
+            share = min(shares.values(), default=_INF)
+            if share == _INF:
+                for c in active:
+                    crate[c] = _INF
+                return
+            cutoff = share * (1 + 1e-12)
+            frozen: set[int] = set()
+            for lk, s in shares.items():
+                if s <= cutoff:
+                    frozen |= link_cls[lk] & active
+            if not frozen:  # numerical corner: freeze everything
+                frozen = set(active)
+            active -= frozen
+            for c in frozen:
+                crate[c] = share * cw[c]
+            if not active:
+                return
+            for lk in list(tot_w):
+                on = link_cls[lk] & frozen
+                if not on:
+                    continue
+                m = 0
+                for c in on:
+                    m += len(cmem[c])
+                left = n_on[lk] - m
+                if not left:
+                    # no unfrozen flow is left to read this link again
+                    del tot_w[lk]
+                    continue
+                n_on[lk] = left
+                rem = remaining[lk]
+                if lk in unit:
+                    # every flow frozen here subtracts the same share, so
+                    # the order of the subtractions is moot
+                    for _ in range(m):
+                        rem -= share
+                        if not rem > 0.0:
+                            rem = 0.0  # and it stays 0.0: share >= 0
+                            break
+                    tot_w[lk] = float(left)
+                else:
+                    t = tot_w[lk]
+                    for c in order[lk]:
+                        if c in on:
+                            w = cw[c]
+                            rem -= share * w
+                            rem = rem if rem > 0.0 else 0.0
+                            t -= w
+                    tot_w[lk] = t
+                remaining[lk] = rem
 
-    def _solve_vec(
-        self,
-        flows: Sequence[Hashable],
-        links: Sequence[Hashable],
-        slots=None,
-        lis=None,
-    ):
-        """Vectorised water-filling over one closure (numpy backend).
+    def _solve_vec(self, classes: set[int], links: set[Hashable]) -> int:
+        """Water-fill one closure flow by flow with numpy (vector mode).
 
-        Mirrors :meth:`_solve` operation-for-operation: per-link weight
-        totals accumulate in ascending-flow order (``bincount`` /
-        ``subtract.at`` walk entries flow-major), subtraction clamps
-        compose to the same final values, and saturation reuses the
-        exact share divisions — so results are bit-identical to the
-        scalar backend whenever entry order matches ascending fid order
-        (always true for the fabric's monotonically assigned flow ids).
+        Gathers the closure flows' rows of the persistent incidence
+        arrays, in ascending fid order, and runs the freeze rounds as
+        whole-array ``bincount`` / ``subtract.at`` operations.  Entries
+        are walked flow-major, so per-link totals accumulate in ascending
+        fid order and the clamp composes to the same final values: the
+        result is bit-identical to :meth:`_solve`.  Writes the closure's
+        slot and class rates and returns its flow count.
         """
         np = _np
-        if slots is None:
-            fid2slot = self._fid2slot
-            slots = np.array([fid2slot[f] for f in flows], dtype=np.intp)
-            lis = np.array([self._lk2li[lk] for lk in links], dtype=np.intp)
+        n = self._nslots
+        vcls = self._vcls[:n]
+        if not self._slots_by_fid:
+            # flows registered out of fid order: walk them by fid
+            cmem = self._cmem
+            fids = sorted([f for c in classes for f in cmem[c]])
+            slots = np.fromiter(
+                map(self._fid2slot.__getitem__, fids), np.intp, len(fids)
+            )
+        else:
+            in_closure = np.zeros(len(self._crate), dtype=bool)
+            in_closure[np.fromiter(classes, np.intp, len(classes))] = True
+            slots = np.nonzero(in_closure[vcls] & self._valive[:n])[0]
+        lis = np.fromiter(map(self._lk2li.__getitem__, links), np.intp, len(links))
         F = len(slots)
         L = len(lis)
         # Gather the closure flows' entry rows (per-flow contiguous
@@ -756,67 +826,5 @@ class MaxMinAllocator:
             if not active.any():
                 break
         self._vrates[slots] = rates_f
-        return rates_f
-
-    def _solve(
-        self, flows: Sequence[Hashable], links: Sequence[Hashable]
-    ) -> dict[Hashable, float]:
-        """Water-fill one closure with incremental per-round bookkeeping."""
-        caps = self._caps
-        weights = self._weights
-        flow_links = self._flow_links
-        link_flows = self._link_flows
-
-        remaining: dict[Hashable, float] = {lk: caps[lk] for lk in links}
-        tot_w: dict[Hashable, float] = {}
-        #: exact count of unfrozen flows per link — the float weight total
-        #: is maintained by subtraction and may keep an epsilon residue
-        #: after its last flow froze, which must not masquerade as a
-        #: zero-share bottleneck
-        n_on: dict[Hashable, int] = {}
-        for lk in links:
-            users = link_flows[lk]
-            t = 0.0
-            # ascending-fid accumulation: the order the vector backend's
-            # bincount reproduces, keeping the two backends bit-identical
-            for fid in sorted(users):
-                t += weights[fid]
-            tot_w[lk] = t
-            n_on[lk] = len(users)
-
-        rates: dict[Hashable, float] = {}
-        active: set[Hashable] = set(flows)
-        while active:
-            share = _INF
-            for lk, t in tot_w.items():
-                if n_on[lk] > 0 and t > 0.0:
-                    s = remaining[lk] / t
-                    if s < share:
-                        share = s
-            if share == _INF:
-                for fid in active:
-                    rates[fid] = _INF
-                break
-            cutoff = share * (1 + 1e-12)
-            saturated = [
-                lk for lk, t in tot_w.items()
-                if n_on[lk] > 0 and t > 0.0 and remaining[lk] / t <= cutoff
-            ]
-            frozen: set[Hashable] = set()
-            for lk in saturated:
-                for fid in link_flows[lk]:
-                    if fid in active:
-                        frozen.add(fid)
-            if not frozen:  # numerical corner: freeze everything
-                frozen = set(active)
-            for fid in sorted(frozen):
-                w = weights[fid]
-                r = share * w
-                rates[fid] = r
-                for lk in flow_links[fid]:
-                    rem = remaining[lk] - r
-                    remaining[lk] = rem if rem > 0.0 else 0.0
-                    tot_w[lk] -= w
-                    n_on[lk] -= 1
-            active -= frozen
-        return rates
+        self._crate[vcls[slots]] = rates_f
+        return F

@@ -13,6 +13,9 @@ runner measures, per scenario:
   and the largest one (``events / instants`` is the mean batch size the
   cohort drain amortises generator-resume overhead over),
 * ``rate_recomputes`` — fair-share solver invocations on all fabrics,
+* ``solve_flows`` / ``solve_classes`` — flows and route classes summed
+  over those solves' closures (their ratio is how much the class solve
+  compresses the work; trajectory data, not headline),
 * ``headline`` — *simulated* outputs (bytes moved, job durations, end
   times).  These are machine-independent and guarded by
   :func:`compare_headlines`: any optimisation must leave them unchanged,
@@ -98,6 +101,8 @@ def run_scenario(name: str) -> dict:
         "instants": env.instants,
         "max_instant_batch": env.max_instant_batch,
         "rate_recomputes": int(sum(f.rate_recomputes for f in out.fabrics)),
+        "solve_flows": int(sum(f.solve_work[0] for f in out.fabrics)),
+        "solve_classes": int(sum(f.solve_work[1] for f in out.fabrics)),
         "headline": out.headline,
         **({"extra": out.extras} if out.extras else {}),
     }
@@ -195,14 +200,16 @@ def format_report(report: Mapping) -> str:
     """Human-readable table of a suite report."""
     lines = [
         f"{'scenario':<16} {'wall s':>8} {'events':>10} {'events/s':>10} "
-        f"{'peak q':>7} {'instants':>9} {'max batch':>9} {'recomputes':>10}",
+        f"{'peak q':>7} {'instants':>9} {'max batch':>9} {'recomputes':>10} "
+        f"{'solve flows':>11} {'classes':>9}",
     ]
     for name, m in report.get("scenarios", {}).items():
         lines.append(
             f"{name:<16} {m['wall_s']:>8.3f} {m['events']:>10} "
             f"{m['events_per_s']:>10} {m['peak_queue_len']:>7} "
             f"{m.get('instants', 0):>9} {m.get('max_instant_batch', 0):>9} "
-            f"{m['rate_recomputes']:>10}"
+            f"{m['rate_recomputes']:>10} {m.get('solve_flows', 0):>11} "
+            f"{m.get('solve_classes', 0):>9}"
         )
     return "\n".join(lines)
 

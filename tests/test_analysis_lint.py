@@ -61,6 +61,31 @@ def test_ra001_flags_set_iteration(tmp_path):
     assert all("set" in f.message for f in result.findings)
 
 
+def test_ra001_flags_builtin_hash(tmp_path):
+    result = lint_source(
+        tmp_path,
+        "def route(nodes, volume):\n"
+        "    return nodes[hash(volume) % len(nodes)]\n",
+        [DeterminismRule()],
+    )
+    assert [f.line for f in result.findings] == [2]
+    assert "hash()" in result.findings[0].message
+
+
+def test_ra001_allows_stable_digests_and_hash_methods(tmp_path):
+    result = lint_source(
+        tmp_path,
+        "import hashlib\n"
+        "import zlib\n"
+        "def route(nodes, volume, table):\n"
+        "    a = zlib.crc32(volume.encode())\n"
+        "    b = hashlib.sha1(volume.encode()).digest()\n"
+        "    return nodes[a % len(nodes)], b, table.hash(volume)\n",
+        [DeterminismRule()],
+    )
+    assert result.ok
+
+
 def test_ra001_allowlists_the_stream_factory(tmp_path):
     result = lint_source(
         tmp_path,

@@ -252,13 +252,20 @@ def test_archive_site_invalid_counts():
 # scalar -> vectorised engine promotion
 # ---------------------------------------------------------------------------
 
-def _churn_workload(promote_at):
-    """Staggered multi-wave transfers whose live-flow population crosses
-    *promote_at*; returns (sorted results, bytes_delivered, solves, vec)."""
+def _churn_workload(promote_at, vec_min_entries=None):
+    """Staggered multi-wave unit-weight transfers whose live-flow
+    population crosses *promote_at*; returns (sorted results,
+    bytes_delivered, solves, vec).  *vec_min_entries* overrides the
+    class-route-entry threshold at which a promoted fabric's closures
+    leave the class solve for the numpy one."""
     from repro.netsim import fabric as fabric_mod
+    from repro.netsim import maxmin as maxmin_mod
 
     old = fabric_mod._VEC_PROMOTE
+    old_entries = maxmin_mod._VEC_MIN_CLASS_ENTRIES
     fabric_mod._VEC_PROMOTE = promote_at
+    if vec_min_entries is not None:
+        maxmin_mod._VEC_MIN_CLASS_ENTRIES = vec_min_entries
     try:
         env = Environment()
         fab = Fabric(env)
@@ -280,6 +287,7 @@ def _churn_workload(promote_at):
         return results, fab.bytes_delivered, fab.rate_recomputes, fab._vec
     finally:
         fabric_mod._VEC_PROMOTE = old
+        maxmin_mod._VEC_MIN_CLASS_ENTRIES = old_entries
 
 
 def test_promotion_mid_run_is_bit_identical_to_scalar():
@@ -301,10 +309,32 @@ def test_promotion_at_start_matches_scalar():
     assert vec[:3] == scalar[:3]
 
 
-def test_promotion_requires_numpy():
-    """The vector engine runs on numpy, a hard dependency: a default
-    allocator may promote itself, and only an explicit ``vec=False``
-    pins it to the scalar engine regardless of population."""
+def test_class_and_numpy_solves_give_identical_churn(monkeypatch):
+    """One unit-weight churn history through a promoted fabric, once with
+    every closure on the class solve and once with every closure on the
+    numpy solve: not a single result bit may differ."""
+    from repro.netsim import maxmin as maxmin_mod
+
+    calls = []
+    solve_vec = maxmin_mod.MaxMinAllocator._solve_vec
+
+    def counting(self, classes, links):
+        calls.append(len(classes))
+        return solve_vec(self, classes, links)
+
+    monkeypatch.setattr(maxmin_mod.MaxMinAllocator, "_solve_vec", counting)
+    by_class = _churn_workload(promote_at=1, vec_min_entries=10**9)
+    assert not calls
+    by_numpy = _churn_workload(promote_at=1, vec_min_entries=0)
+    assert calls                 # the numpy solve really ran
+    assert by_class[3] and by_numpy[3]
+    assert by_numpy[:3] == by_class[:3]
+
+
+def test_only_explicit_vec_false_pins_the_scalar_engine():
+    """A default allocator may promote itself to the numpy engine; only
+    an explicit ``vec=False`` pins it to the scalar engine regardless of
+    population."""
     from repro.netsim import maxmin as maxmin_mod
 
     assert maxmin_mod.MaxMinAllocator().vec_auto is True

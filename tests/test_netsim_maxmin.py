@@ -1,12 +1,14 @@
 """Unit + property tests for the max-min fair allocator."""
 
 import math
+from typing import Hashable, Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim import MaxMinAllocator, max_min_fair_rates
+from repro.netsim import maxmin as maxmin_mod
 
 
 def test_single_flow_gets_link_capacity():
@@ -162,11 +164,12 @@ def _oracle(alloc: MaxMinAllocator) -> dict:
             rate_caps[lk[1]] = cap
         else:
             caps[lk] = cap
-    for fid, route in alloc._flow_links.items():
+    for fid, cid in alloc._fcls.items():
         flows[fid] = [
-            lk for lk in route if not (isinstance(lk, tuple) and lk[0] == "__cap__")
+            lk for lk in alloc._croute[cid]
+            if not (isinstance(lk, tuple) and lk[0] == "__cap__")
         ]
-        weights[fid] = alloc._weights[fid]
+        weights[fid] = alloc._cw[cid]
     return max_min_fair_rates(flows, caps, rate_cap=rate_caps, flow_weight=weights)
 
 
@@ -269,3 +272,235 @@ def test_incremental_equals_batch_over_random_histories(script, flush_every_op):
         if flush_every_op:
             _assert_matches_oracle(alloc)
     _assert_matches_oracle(alloc)
+
+
+# ---------------------------------------------------------------------------
+# class solve == per-flow reference, to the bit
+# ---------------------------------------------------------------------------
+
+_INF = float("inf")
+
+
+class _PerFlowAllocator:
+    """Incremental max-min water-filler that solves flow by flow.
+
+    The exact reference for :class:`MaxMinAllocator`'s class solve: the
+    same dirty-link bookkeeping and closure, and a water-filler that
+    visits every flow, folding per-link totals in ascending fid order.
+    Driven through the same history and flushed at the same points, the
+    two must agree with ``==``, not ``approx``.
+    """
+
+    def __init__(self):
+        self.caps: dict = {}
+        self.flow_links: dict = {}
+        self.weights: dict = {}
+        self.link_flows: dict = {}
+        self.rates: dict = {}
+        self.dirty: set = set()
+
+    def set_capacity(self, link, capacity):
+        capacity = float(capacity)
+        if self.caps.get(link) == capacity:
+            return
+        self.caps[link] = capacity
+        if self.link_flows.get(link):
+            self.dirty.add(link)
+
+    def add_flow(self, fid, links, weight=1.0, rate_cap=_INF):
+        route = list(links)
+        if rate_cap != _INF:
+            self.caps[("__cap__", fid)] = float(rate_cap)
+            route.append(("__cap__", fid))
+        self.flow_links[fid] = tuple(route)
+        self.weights[fid] = float(weight)
+        if not route:
+            self.rates[fid] = _INF
+            return
+        shared = False
+        for lk in route:
+            peers = self.link_flows.setdefault(lk, set())
+            shared = shared or bool(peers)
+            peers.add(fid)
+        if shared:
+            self.rates[fid] = 0.0
+            self.dirty.update(route)
+        else:
+            self.rates[fid] = min(self.caps[lk] for lk in route)
+
+    def remove_flow(self, fid):
+        route = self.flow_links.pop(fid)
+        del self.weights[fid]
+        del self.rates[fid]
+        for lk in route:
+            peers = self.link_flows[lk]
+            peers.discard(fid)
+            if peers:
+                self.dirty.add(lk)
+            else:
+                del self.link_flows[lk]
+        if route and route[-1] == ("__cap__", fid):
+            del self.caps[route[-1]]
+        self.dirty.discard(("__cap__", fid))
+
+    def flush(self):
+        seen_links = {lk for lk in self.dirty if lk in self.link_flows}
+        self.dirty.clear()
+        seen_flows: set = set()
+        stack = list(seen_links)
+        while stack:
+            for fid in self.link_flows[stack.pop()]:
+                if fid not in seen_flows:
+                    seen_flows.add(fid)
+                    for nlk in self.flow_links[fid]:
+                        if nlk not in seen_links:
+                            seen_links.add(nlk)
+                            stack.append(nlk)
+        if seen_flows:
+            self.rates.update(
+                self._solve(sorted(seen_flows), sorted(seen_links, key=repr))
+            )
+
+    def _solve(
+        self, flows: Sequence[Hashable], links: Sequence[Hashable]
+    ) -> dict:
+        caps = self.caps
+        weights = self.weights
+        flow_links = self.flow_links
+        link_flows = self.link_flows
+        remaining = {lk: caps[lk] for lk in links}
+        tot_w = {}
+        n_on = {}
+        for lk in links:
+            users = link_flows[lk]
+            t = 0.0
+            for fid in sorted(users):
+                t += weights[fid]
+            tot_w[lk] = t
+            n_on[lk] = len(users)
+        rates = {}
+        active = set(flows)
+        while active:
+            share = _INF
+            for lk, t in tot_w.items():
+                if n_on[lk] > 0 and t > 0.0:
+                    s = remaining[lk] / t
+                    if s < share:
+                        share = s
+            if share == _INF:
+                for fid in active:
+                    rates[fid] = _INF
+                break
+            cutoff = share * (1 + 1e-12)
+            saturated = [
+                lk for lk, t in tot_w.items()
+                if n_on[lk] > 0 and t > 0.0 and remaining[lk] / t <= cutoff
+            ]
+            frozen = {fid for lk in saturated for fid in link_flows[lk] if fid in active}
+            if not frozen:
+                frozen = set(active)
+            for fid in sorted(frozen):
+                w = weights[fid]
+                r = share * w
+                rates[fid] = r
+                for lk in flow_links[fid]:
+                    rem = remaining[lk] - r
+                    remaining[lk] = rem if rem > 0.0 else 0.0
+                    tot_w[lk] -= w
+                    n_on[lk] -= 1
+            active -= frozen
+        return rates
+
+
+#: a few fixed routes, so many flows share one (route, weight) class
+_ROUTES = (
+    ("trunk",),
+    ("nic0", "trunk"),
+    ("nic0", "trunk"),
+    ("nic1", "trunk", "disk"),
+    ("nic1", "disk"),
+    ("disk",),
+    (),
+)
+
+
+@st.composite
+def _class_histories(draw):
+    """Add/remove/recap/flush scripts whose flows fall into few classes."""
+    links = {
+        lk: draw(st.floats(1.0, 1e3)) for lk in ("trunk", "nic0", "nic1", "disk")
+    }
+    # all-unit histories exercise the exact-integer link totals; sums of
+    # 0.3 and 1.7 round, so fold order shows in their bits
+    weights = draw(st.sampled_from([(1.0,), (0.5, 1.0, 1.0, 2.0), (0.3, 1.0, 1.7)]))
+    n_ops = draw(st.integers(1, 40))
+    # flows may register out of fid order, as fabric flows with unequal
+    # route latencies do
+    fids = draw(st.one_of(st.just(list(range(n_ops))), st.permutations(range(n_ops))))
+    ops = []
+    live = []
+    for fid in fids:
+        kind = draw(st.sampled_from(["add"] * 4 + ["remove", "recap", "flush"]))
+        if kind == "add":
+            route = draw(st.sampled_from(_ROUTES))
+            weight = draw(st.sampled_from(weights))
+            cap = draw(st.one_of(st.just(_INF), st.just(_INF), st.floats(1.0, 50.0)))
+            ops.append(("add", fid, route, weight, cap))
+            live.append(fid)
+        elif kind == "remove" and live:
+            ops.append(("remove", live.pop(draw(st.integers(0, len(live) - 1)))))
+        elif kind == "recap":
+            ops.append(("recap", draw(st.sampled_from(sorted(links))),
+                        draw(st.floats(1.0, 1e3))))
+        else:
+            ops.append(("flush",))
+    ops.append(("flush",))
+    return links, ops
+
+
+def _replay_both(links, ops, vec):
+    alloc = MaxMinAllocator(vec=vec)
+    ref = _PerFlowAllocator()
+    for sut in (alloc, ref):
+        for lk, cap in links.items():
+            sut.set_capacity(lk, cap)
+    for op in ops:
+        for sut in (alloc, ref):
+            if op[0] == "add":
+                _, fid, route, weight, cap = op
+                sut.add_flow(fid, route, weight=weight, rate_cap=cap)
+            elif op[0] == "remove":
+                sut.remove_flow(op[1])
+            elif op[0] == "recap":
+                sut.set_capacity(op[1], op[2])
+            else:
+                sut.flush()
+        if op[0] == "flush":
+            assert alloc.rates == ref.rates
+    return alloc
+
+
+@given(_class_histories(), st.booleans(), st.sampled_from([0, 10**9]))
+@settings(max_examples=300, deadline=None)
+def test_class_solve_equals_per_flow_reference_exactly(script, vec, min_entries):
+    """Route classes change no rate bit: after every flush the class
+    allocator's rates ``==`` the per-flow reference's, through the class
+    water-filler (huge threshold) and the numpy one (threshold 0)."""
+    links, ops = script
+    old = maxmin_mod._VEC_MIN_CLASS_ENTRIES
+    maxmin_mod._VEC_MIN_CLASS_ENTRIES = min_entries
+    try:
+        _replay_both(links, ops, vec)
+    finally:
+        maxmin_mod._VEC_MIN_CLASS_ENTRIES = old
+
+
+def test_class_histories_build_multi_member_classes():
+    """The fixed-route history compresses: one solve covers more flows
+    than classes, which is the work the class solve saves."""
+    links = {"trunk": 100.0, "nic0": 40.0, "nic1": 40.0, "disk": 250.0}
+    ops = [("add", f, _ROUTES[f % 6], 1.0 if f % 3 else 2.0, _INF) for f in range(24)]
+    alloc = _replay_both(links, ops + [("flush",)], vec=False)
+    assert alloc.solves == 1
+    assert alloc.closure_flows == 24
+    assert alloc.closure_classes < alloc.closure_flows
