@@ -36,6 +36,17 @@ def fresh_token() -> int:
     return next(_token_counter)
 
 
+class _InodeWriteLock:
+    """One shared-written inode's lock and the writers that fetched it."""
+
+    __slots__ = ("resource", "writers")
+
+    def __init__(self, env: Environment) -> None:
+        self.resource = Resource(env, capacity=1)
+        #: writers holding, waiting for, or about to request the lock
+        self.writers = 0
+
+
 class GpfsFileSystem:
     """A mounted parallel file system instance.
 
@@ -74,7 +85,9 @@ class GpfsFileSystem:
         #: ArchiveFUSE (cf. the PLFS reference [23]).  Writers of one
         #: inode serialize on a lock held for nbytes/shared_write_bw.
         self.shared_write_bw = shared_write_bw
-        self._write_locks: dict[int, Resource] = {}
+        #: inode -> its write lock, only while some writer holds, waits
+        #: for, or is about to request it
+        self._write_locks: dict[int, _InodeWriteLock] = {}
         self.namespace = Namespace(now=env.now)
         self.pools: dict[str, StoragePool] = {}
         self.policy = PolicyEngine(env, self.namespace)
@@ -468,15 +481,23 @@ class GpfsFileSystem:
                 # run the serialized shared-file critical section and the
                 # data movement concurrently: a lone writer is unaffected,
                 # N-to-1 writers aggregate-cap at shared_write_bw.
-                lock = self._write_locks.get(inode.ino)
+                ino = inode.ino
+                lock = self._write_locks.get(ino)
                 if lock is None:
-                    lock = Resource(self.env, capacity=1)
-                    self._write_locks[inode.ino] = lock
+                    lock = self._write_locks[ino] = _InodeWriteLock(self.env)
+                # counted from the fetch, not the request: the lock must
+                # not be dropped while a writer's process has yet to start
+                lock.writers += 1
 
                 def _critical():
-                    with lock.request() as rq:
-                        yield rq
-                        yield self.env.timeout(nbytes / self.shared_write_bw)
+                    try:
+                        with lock.resource.request() as rq:
+                            yield rq
+                            yield self.env.timeout(nbytes / self.shared_write_bw)
+                    finally:
+                        lock.writers -= 1
+                        if lock.writers == 0:
+                            del self._write_locks[ino]
 
                 crit = self.env.process(_critical(), name=f"wlock {path}")
                 move = self.env.process(

@@ -163,7 +163,13 @@ class PftoolJob:
         retried and no statistics settle.  ``done`` fails with the crash
         so ``env.run(job.done)`` surfaces it — recovery goes through
         :meth:`resume` with the job's journal.
+
+        Crashing a job that already finished is a no-op, as for
+        :meth:`cancel`: a crash plan may fire after its target phase
+        settled, and must not rewrite that job's statistics.
         """
+        if self.done.triggered:
+            return
         if not isinstance(cause, BaseException):
             cause = CrashFault(
                 f"pftool {self.op} crashed at t={self.env.now:.1f}"
@@ -172,8 +178,7 @@ class PftoolJob:
             proc.kill(cause)
         self.stats.aborted = True
         self.stats.abort_reason = str(cause)
-        if not self.done.triggered:
-            self.done.fail(cause)
+        self.done.fail(cause)
 
     def crash_rank(self, rank: int, cause=None) -> None:
         """Kill a single rank (one FTA node's mover process dies).

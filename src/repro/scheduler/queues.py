@@ -64,7 +64,7 @@ class JobTicket:
     #: the job's journal (bound at dispatch; survives preemption so a
     #: resume converges to the oracle without re-copying landed chunks)
     journal: object = None
-    #: the live PftoolJob while ACTIVE
+    #: the live PftoolJob while ACTIVE (dropped once the ticket settles)
     job: object = None
     #: final JobStats (None for never-dispatched cancels)
     stats: object = None

@@ -207,6 +207,16 @@ def run_soak(seed: int = 0, n_tenants: int = 10, n_jobs: int = 300,
     chaos_rng = RandomStreams(params.seed).stream("soak-chaos")
     horizon = schedule[-1][0]
     resumed_ids: set[int] = set()
+    # a settled ticket drops its job, so capture each job's communicator
+    # at dispatch for the monitor-detach check below
+    comms: dict[int, object] = {}
+    dispatch = service._dispatch
+
+    def recording_dispatch(ticket):
+        dispatch(ticket)
+        comms[ticket.job_id] = ticket.job.comm
+
+    service._dispatch = recording_dispatch
 
     def feeder():
         t_prev = 0.0
@@ -297,8 +307,8 @@ def run_soak(seed: int = 0, n_tenants: int = 10, n_jobs: int = 300,
     if unresumed:
         violations.append(f"preempted but never resumed: {unresumed}")
     leaked = [
-        t.job_id for t in service._tickets.values()
-        if t.job is not None and getattr(t.job.comm, "monitor", None) is not None
+        job_id for job_id, comm in comms.items()
+        if getattr(comm, "monitor", None) is not None
     ]
     if leaked:
         violations.append(f"monitor still attached after done: {leaked}")

@@ -512,6 +512,11 @@ class ArchiveService:
         del self._active[ticket.job_id]
         self._active_by_tenant[ticket.tenant] -= 1
         ticket.stats = ev.value if ev.ok else None
+        # Only an ACTIVE ticket needs its job (cancel / preempt); a resume
+        # needs only the journal.  Dropping the reference lets the job's
+        # Manager, mailboxes and rank processes be freed once nothing can
+        # run in them, without tearing down anything still draining.
+        ticket.job = None
         aborted = ticket.stats is None or ticket.stats.aborted
         if ticket.cancel_requested and aborted:
             state = CANCELLED

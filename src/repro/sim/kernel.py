@@ -497,6 +497,9 @@ class Process(Event):
                 self._target.callbacks.remove(self._resume)
             except ValueError:
                 pass
+        # Runnable again: drop the event we waited on, so a finished
+        # process does not pin the last message (and its mailbox) alive.
+        self._target = None
         self.env._active = self
         try:
             while True:

@@ -11,6 +11,9 @@ and the long-running-service bugfixes that ride along:
   service's job stream).
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.analysis.monitor import InvariantMonitor, set_default_monitor_factory
@@ -275,11 +278,16 @@ def test_monitor_does_not_grow_over_job_stream():
     _system, service = make_service(env)
     for k in range(4):
         ticket = submit_with_tree(service, "alice", f"j{k}", n_files=1)
+        # the settled ticket drops its job, so capture the communicator
+        # while the job is active
+        assert ticket.state == ACTIVE
+        comm = ticket.job.comm
+        assert comm.monitor is mon
         env.run(ticket.done)
         assert mon.attached_jobs == 0, (
             f"monitor still holds {mon.attached_jobs} job(s) after job {k}"
         )
-        assert ticket.job.comm.monitor is None
+        assert comm.monitor is None
     assert mon.violations == []
 
 
@@ -382,6 +390,66 @@ def test_service_preempt_then_resume_converges():
     # conservation across the preempt/resume pair
     s = service.summary()
     assert s["submitted"] == s["completed"] + s["cancelled"] + s["preempted"]
+
+
+def test_settled_jobs_release_their_runtime_state(monkeypatch):
+    """A settled ticket keeps its record (stats, journal, nodes) but not
+    its job: once the stream settles, every job's Manager, communicator
+    and rank processes are garbage."""
+    env = Environment()
+    system, service = make_service(env)
+    refs = []
+    dispatch = service._dispatch
+
+    def recording_dispatch(ticket):
+        dispatch(ticket)
+        job = ticket.job
+        refs.append(weakref.ref(job._manager))
+        refs.append(weakref.ref(job.comm))
+        # a Process is slotted; its generator lives exactly as long
+        refs.extend(weakref.ref(p._generator) for p in job.rank_procs.values())
+
+    monkeypatch.setattr(service, "_dispatch", recording_dispatch)
+    done = [submit_with_tree(service, "alice", f"j{k}") for k in range(3)]
+    src = "/jobs/bob/big"
+    preload_tree(system.scratch_fs, src, [8 * MB] * 6)
+    big = service.submit("bob", "archive", src, "/arc/bob/big")
+    victim = submit_with_tree(service, "alice", "victim", n_files=4)
+    env.run(env.timeout(0.05))
+    assert service.preempt(big.job_id)
+    assert service.cancel(victim.job_id)
+    env.run(service.drain())
+    assert big.state == PREEMPTED and big.job is None
+    resumed = service.resume(big.job_id)
+    env.run(service.drain())
+    env.run()  # ranks still draining after their job's done event
+
+    tickets = [*done, big, victim, resumed]
+    assert [t.state for t in tickets] == [COMPLETED] * 3 + [
+        PREEMPTED, CANCELLED, COMPLETED]
+    for t in tickets:
+        assert t.job is None
+        assert t.stats is not None and t.journal is not None
+        assert t.nodes_used
+    assert resumed.stats.files_skipped > 0  # the preempted run's work
+    assert len(refs) == (2 + 6) * len(tickets)  # six ranks per job
+    gc.collect()
+    alive = [r() for r in refs if r() is not None]
+    assert alive == [], f"{len(alive)} objects of settled jobs still live"
+
+
+def test_crash_after_done_is_a_noop():
+    env = Environment()
+    _system, service = make_service(env)
+    ticket = submit_with_tree(service, "alice", "j0")
+    job = ticket.job
+    env.run(ticket.done)
+    assert ticket.state == COMPLETED
+    job.crash()  # e.g. a chaos crash plan firing after its phase settled
+    env.run()
+    assert job.done.ok
+    assert not ticket.stats.aborted
+    assert ticket.stats.abort_reason == ""
 
 
 def test_service_resume_requires_preempted_state():

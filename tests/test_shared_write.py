@@ -82,3 +82,36 @@ def test_shared_write_model_can_be_disabled():
     fs = make_fs(env, shared_bw=0.0)
     t = _parallel_range_writes(env, fs, "/f", 8 * GB, 8)
     assert t < 2.0
+
+
+def test_staggered_writers_share_one_lock_and_leave_no_lock_behind():
+    """Writers arriving while others hold or wait for the lock (some at
+    the exact instant it is released) still serialize on one lock per
+    file, and the lock table is empty once the last writer is done."""
+    env = Environment()
+    fs = make_fs(env, shared_bw=1e9)
+    n, chunk = 8, 1 * GB  # each lock hold lasts 1 s
+    seen = []
+
+    def writer(i):
+        yield env.timeout(0.5 * i)
+        yield fs.write_range(f"c{i}", "/f", i * chunk, chunk)
+
+    def sampler():
+        # the holds are back to back, so some writer always holds the lock
+        for _ in range(2 * n - 1):
+            yield env.timeout(0.5)
+            seen.append(len(fs._write_locks))
+
+    def go():
+        yield fs.create_sized("/f", n * chunk)
+        env.process(sampler())
+        yield env.all_of([env.process(writer(i)) for i in range(n)])
+        # a later write to the same file gets a fresh lock and drops it
+        yield fs.write_range("late", "/f", 0, chunk)
+
+    env.process(go())
+    env.run()
+    assert env.now >= (n + 1) * 0.99
+    assert fs._write_locks == {}
+    assert set(seen) == {1}

@@ -1,11 +1,15 @@
 """Unit tests for the DES kernel (events, processes, interrupts, run modes)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import (
     AllOf,
     AnyOf,
     Environment,
+    Event,
     Interrupt,
     SimulationError,
 )
@@ -437,3 +441,24 @@ def test_cohort_counters_on_hand_built_program():
     assert env.max_instant_batch == 5
     assert env.peak_queue_len == 3
     assert env.now == 3
+
+
+class _Probe(Event):
+    """An Event that (unlike the slotted kernel events) takes weakrefs."""
+
+
+def test_finished_process_releases_the_last_event_it_waited_on():
+    env = Environment()
+    probe = _Probe(env)
+
+    def waiter():
+        yield probe
+
+    proc = env.process(waiter())
+    env.call_later(1.0, lambda: probe.succeed("payload"))
+    env.run()
+    assert not proc.is_alive
+    ref = weakref.ref(probe)
+    del probe
+    gc.collect()
+    assert ref() is None, "a dead process still pins its last target"
