@@ -32,15 +32,23 @@ def test_k1_engine_suite(benchmark):
     drift = compare_headlines(report, golden)
     assert not drift, "simulated headline drift vs golden:\n" + "\n".join(drift)
 
+    # the committed report holds simulated counts only; host wall time
+    # and events/s go to stdout and extra_info, so a re-run on any
+    # machine regenerates the report byte for byte
     lines = ["K1  engine microbenchmarks (headline-checked vs golden)"]
+    host = ["K1  host timings (this machine only)"]
     for name, m in report["scenarios"].items():
         lines.append(
-            f"  {name:16s} {m['wall_s']:8.3f}s {m['events']:>8} events "
-            f"{m['events_per_s']:>8}/s  recomputes {m['rate_recomputes']}"
+            f"  {name:22s} {m['events']:>8} events  "
+            f"recomputes {m['rate_recomputes']}"
         )
+        host.append(
+            f"  {name:22s} {m['wall_s']:8.3f}s {m['events_per_s']:>8} events/s"
+        )
+        benchmark.extra_info[f"{name}_wall_s"] = m["wall_s"]
         benchmark.extra_info[f"{name}_events_per_s"] = m["events_per_s"]
     text = "\n".join(lines)
-    print("\n" + text)
+    print("\n" + text + "\n" + "\n".join(host))
     write_report("K1", text)
 
     # the optimisation floor this PR claims: fabric-heavy scenarios keep

@@ -54,20 +54,28 @@ def test_m1_metadata_suite(benchmark):
             drift
         )
 
+    # the committed report holds simulated output only; host wall time,
+    # the files/s rates and their extrapolation go to stdout and
+    # extra_info, so a re-run on any machine regenerates the report
     lines = [
         f"M*  metadata plane at {M_POP:,} files "
         f"({M_SHARDS} shards, batch {M_BATCH})"
     ]
+    host = ["M*  host timings (this machine only)"]
     for name in M_SCENARIOS:
         m = report["scenarios"][name]
         extra = m.get("extra", {})
-        rate = max(extra.values()) if extra else 0
+        sim = {k: v for k, v in extra.items() if not k.endswith("_per_s")}
+        rates = {k: v for k, v in extra.items() if k.endswith("_per_s")}
         lines.append(
-            f"  {name:16s} {m['wall_s']:8.3f}s  "
-            f"peak_live {int(m['headline'].get('peak_live', 0)):>6}  "
-            + " ".join(f"{k}={v}" for k, v in sorted(extra.items()))
+            f"  {name:16s} peak_live {int(m['headline'].get('peak_live', 0)):>6}  "
+            + " ".join(f"{k}={v}" for k, v in sorted(sim.items()))
         )
-        benchmark.extra_info[name] = extra
+        host.append(
+            f"  {name:16s} {m['wall_s']:8.3f}s  "
+            + " ".join(f"{k}={v}" for k, v in sorted(rates.items()))
+        )
+        benchmark.extra_info[name] = dict(extra, wall_s=m["wall_s"])
         # the bounded-memory claim, re-asserted at the bench tier
         if "peak_live" in m["headline"]:
             assert m["headline"]["peak_live"] <= M_SHARDS * M_BATCH
@@ -76,15 +84,15 @@ def test_m1_metadata_suite(benchmark):
     scan_rate = report["scenarios"]["m1_index_scan"]["extra"][
         "scan_files_per_s"
     ]
-    lines.append("  extrapolated full-catalog recall sort (measured rate):")
+    host.append("  extrapolated full-catalog recall sort (measured rate):")
     for pop in (10**6, 10**7, 10**8):
-        lines.append(
+        host.append(
             f"    {pop:>12,} files  ~{pop / scan_rate:8.1f}s wall, "
             f"peak live entries {M_SHARDS * M_BATCH} "
             f"({100.0 * M_SHARDS * M_BATCH / pop:.4f}% of population)"
         )
     text = "\n".join(lines)
-    print("\n" + text)
+    print("\n" + text + "\n" + "\n".join(host))
     write_report("M1", text)
 
 

@@ -154,6 +154,33 @@ def test_explicit_route_pinning():
     assert res.duration == pytest.approx(1.0)
 
 
+def test_pinned_route_survives_add_link():
+    """Adding a link drops cached shortest paths, never a pinned route."""
+    env = Environment()
+    fab = Fabric(env)
+    f1, _ = fab.add_link("a", "m1", capacity=100.0)
+    f2, _ = fab.add_link("m1", "b", capacity=100.0)
+    fab.add_link("a", "b", capacity=1.0)  # direct but slow
+    fab.set_route("a", "b", [f1, f2])
+    fab.add_link("b", "c", capacity=5.0)
+    assert fab.route("a", "b") == [f1, f2]
+    res = env.run(fab.transfer("a", "b", 100.0))
+    assert res.duration == pytest.approx(1.0)
+
+
+def test_site_tsm_sessions_stay_on_ethernet_after_a_new_node():
+    """FTA<->TSM traffic keeps its pinned NIC route when a node (a
+    serial mover, say) joins the LAN after the site is built."""
+    env = Environment()
+    topo = build_archive_site(env, n_fta=2, n_disk_servers=1, n_tape_drives=1)
+    fab = topo.fabric
+    fab.add_link("archive-lan", "mover", capacity=125 * MB, name="nic-mover")
+    assert [lk.name for lk in fab.route("fta0", "tsm-server")] == [
+        "nic-fta0:rev", "nic-tsm"]
+    assert [lk.name for lk in fab.route("tsm-server", "fta0")] == [
+        "nic-tsm:rev", "nic-fta0"]
+
+
 def test_bad_explicit_route_rejected():
     env = Environment()
     fab = Fabric(env)

@@ -425,14 +425,14 @@ _ROUTES = (
 
 
 @st.composite
-def _class_histories(draw):
+def _class_histories(draw, weight_sets=((1.0,), (0.5, 1.0, 1.0, 2.0), (0.3, 1.0, 1.7))):
     """Add/remove/recap/flush scripts whose flows fall into few classes."""
     links = {
         lk: draw(st.floats(1.0, 1e3)) for lk in ("trunk", "nic0", "nic1", "disk")
     }
     # all-unit histories exercise the exact-integer link totals; sums of
     # 0.3 and 1.7 round, so fold order shows in their bits
-    weights = draw(st.sampled_from([(1.0,), (0.5, 1.0, 1.0, 2.0), (0.3, 1.0, 1.7)]))
+    weights = draw(st.sampled_from(weight_sets))
     n_ops = draw(st.integers(1, 40))
     # flows may register out of fid order, as fabric flows with unequal
     # route latencies do
@@ -504,3 +504,84 @@ def test_class_histories_build_multi_member_classes():
     assert alloc.solves == 1
     assert alloc.closure_flows == 24
     assert alloc.closure_classes < alloc.closure_flows
+
+
+# ---------------------------------------------------------------------------
+# compiled components: reuse, rebuild, and the one-class path
+# ---------------------------------------------------------------------------
+
+@given(_class_histories(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_component_reuse_equals_per_flow_reference_after_every_op(script, vec):
+    """Compiled components survive flows joining and leaving their
+    classes and are rebuilt when a class is created or destroyed: with
+    a flush after every operation, the rates ``==`` the per-flow
+    reference's throughout."""
+    links, ops = script
+    every = []
+    for op in ops:
+        every.append(op)
+        if op[0] != "flush":
+            every.append(("flush",))
+    _replay_both(links, every, vec)
+
+
+def test_component_is_reused_until_a_class_comes_or_goes():
+    alloc = MaxMinAllocator()
+    for lk, cap in (("trunk", 100.0), ("nic0", 30.0), ("nic1", 80.0)):
+        alloc.set_capacity(lk, cap)
+    alloc.add_flow(1, ["nic0", "trunk"])
+    alloc.add_flow(2, ["nic1", "trunk"])
+    alloc.flush()
+    comp = alloc._comp_of["trunk"]
+    # flows joining and leaving existing classes keep the component
+    alloc.add_flow(3, ["nic1", "trunk"])
+    alloc.add_flow(4, ["nic0", "trunk"])
+    alloc.remove_flow(1)
+    alloc.flush()
+    assert alloc._comp_of["trunk"] is comp
+    assert comp.cnt == [1, 2] or comp.cnt == [2, 1]
+    _assert_matches_oracle(alloc)
+    # a new class on a shared link drops it ...
+    alloc.add_flow(5, ["trunk"])
+    assert "trunk" not in alloc._comp_of
+    alloc.flush()
+    comp = alloc._comp_of["trunk"]
+    assert len(comp.cls) == 3
+    _assert_matches_oracle(alloc)
+    # ... and so does a class's last flow leaving (it may split the graph)
+    alloc.remove_flow(5)
+    assert "trunk" not in alloc._comp_of
+    _assert_matches_oracle(alloc)
+
+
+@pytest.mark.parametrize("weight", [1.0, 0.1, 2.0])
+@pytest.mark.parametrize("rate_cap", [_INF, 7.0])
+def test_one_class_closure_matches_per_flow_reference(weight, rate_cap):
+    """A closure of one route class (a disk array's processor-sharing
+    server) is settled by a single division, bit-identical to the
+    per-flow water-fill: ten flows of weight 0.1 fold to a weight total
+    of 0.9999999999999999, not 10 * 0.1 == 1.0."""
+    links = {"hba": 70.0, "disk": 30.0}
+    ops = [("add", f, ("hba", "disk"), weight, _INF) for f in range(10)]
+    ops += [("flush",), ("remove", 3), ("flush",)]
+    if rate_cap != _INF:
+        # a capped flow is a class of its own: the closure gains a class
+        ops += [("add", 10, ("hba", "disk"), weight, rate_cap), ("flush",)]
+    alloc = _replay_both(links, ops, vec=False)
+    # one-class solves, then (capped) one of two classes
+    assert alloc.closure_classes == (4 if rate_cap != _INF else 2)
+
+
+@given(
+    _class_histories(weight_sets=((1.0, 2.0), (2.0, 3.0, 1.0), (4.0,), (1.0, 2.0**53))),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_integral_weights_match_per_flow_reference_exactly(script, vec):
+    """Links whose weights are small integers keep exact totals in any
+    order and subtract in fid order only in rounds that freeze unequal
+    weights; a huge integral weight (2**53 + 1 rounds) keeps the
+    per-flow order throughout.  Rates ``==`` the reference's."""
+    links, ops = script
+    _replay_both(links, ops, vec)

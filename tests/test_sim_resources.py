@@ -1,6 +1,8 @@
 """Unit tests for Resource / Container / Store primitives."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     Container,
@@ -12,6 +14,7 @@ from repro.sim import (
     SimulationError,
     Store,
 )
+from repro.sim.resources import _FilterGet
 
 
 def test_resource_capacity_enforced():
@@ -345,19 +348,23 @@ def test_cancelled_get_is_never_delivered_an_item():
 
 
 def test_mass_cancel_parked_gets_is_near_linear():
-    """Regression for the O(n) StoreGet.cancel: cancelling 10k parked
-    receives must scale ~linearly (tombstones + compaction), not
-    quadratically (the old list.remove walked 10k entries per cancel)."""
+    """Parking and then cancelling 10k filtered receives must both scale
+    ~linearly: a parked get is not re-checked by later gets (the old
+    settle rotated the whole getter queue on every get), and a cancel
+    is a tombstone plus amortised compaction (the old list.remove
+    walked 10k entries per cancel)."""
     import time
 
     def run_n(n):
         env = Environment()
         s = FilterStore(env)
+        t0 = time.perf_counter()
         gets = [s.get(lambda m, i=i: m == i) for i in range(n)]
+        parked = time.perf_counter() - t0
         t0 = time.perf_counter()
         for g in gets:
             g.cancel()
-        elapsed = time.perf_counter() - t0
+        cancelled = time.perf_counter() - t0
         # queue must actually shrink as tombstones pass the compaction
         # threshold, not merely be marked dead
         assert len(s._getq) <= 1 + n // 2
@@ -371,10 +378,107 @@ def test_mass_cancel_parked_gets_is_near_linear():
         assert s.put_nowait("tail")
         env.run()
         assert got == ["tail"]
-        return elapsed
+        return parked, cancelled
 
-    t_small = max(run_n(1_000), 1e-4)
-    t_big = run_n(10_000)
-    # 10x the cancels may cost ~10x the time (plus noise) — the old
-    # quadratic implementation came in around 100x
-    assert t_big < t_small * 40, f"cancel scaling looks quadratic: {t_small} -> {t_big}"
+    p_small, c_small = (max(t, 1e-4) for t in run_n(1_000))
+    p_big, c_big = run_n(10_000)
+    # 10x the gets may cost ~10x the time (plus noise) — the old
+    # quadratic implementations came in around 100x
+    assert p_big < p_small * 40, f"park scaling looks quadratic: {p_small} -> {p_big}"
+    assert c_big < c_small * 40, f"cancel scaling looks quadratic: {c_small} -> {c_big}"
+
+
+class _RotatingFilterStore(Store):
+    """FilterStore as it was before incremental matching, kept as the
+    oracle: every get and every deposit rotates every parked getter
+    over every stored item (``Store._settle``'s predicate path)."""
+
+    def get(self, filter=None):  # noqa: A002
+        ev = _FilterGet(self, filter)
+        self._getq.append(ev)
+        self._settle()
+        return ev
+
+    def _do_get(self, getter):
+        flt = getter._filter
+        for idx, item in enumerate(self.items):
+            if flt is None or flt(item):
+                self.items.pop(idx)
+                getter.succeed(item)
+                return True
+        return False
+
+
+#: getter predicates over the small int items the histories deposit
+_FILTERS = (
+    None,
+    lambda m: m % 2 == 0,
+    lambda m: m % 3 == 1,
+    lambda m: m < 3,
+    lambda m: m == 5,
+)
+
+
+@st.composite
+def _store_histories(draw):
+    """put / put_nowait / put_batch / get / cancel / run scripts."""
+    capacity = draw(st.sampled_from([float("inf"), 1, 2, 3]))
+    item = st.integers(0, 7)
+    ops = []
+    n_gets = 0
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(
+            ["put", "put_nowait", "put_batch", "get", "get", "cancel", "run"]))
+        if kind == "put_batch":
+            ops.append((kind, draw(st.lists(item, min_size=1, max_size=4))))
+        elif kind in ("put", "put_nowait"):
+            ops.append((kind, draw(item)))
+        elif kind == "get":
+            ops.append((kind, draw(st.integers(0, len(_FILTERS) - 1))))
+            n_gets += 1
+        elif kind == "cancel" and n_gets:
+            ops.append((kind, draw(st.integers(0, n_gets - 1))))
+        else:
+            ops.append(("run",))
+    return capacity, ops
+
+
+def _replay_store(cls, capacity, ops):
+    """Drive one store through *ops*; return its firing log and state."""
+    env = Environment()
+    store = cls(env, capacity=capacity)
+    log = []
+    gets = []
+    for op in ops:
+        kind = op[0]
+        if kind == "put":
+            n = len(log)
+            store.put(op[1]).callbacks.append(lambda ev, n=n: log.append(("put", n)))
+        elif kind == "put_nowait":
+            log.append(("nowait", op[1], store.put_nowait(op[1])))
+        elif kind == "put_batch":
+            log.append(("batch", tuple(op[1]), store.put_batch(op[1])))
+        elif kind == "get":
+            k = len(gets)
+            g = store.get(_FILTERS[op[1]])
+            gets.append(g)
+            g.callbacks.append(lambda ev, k=k: log.append(("got", k, ev.value)))
+        elif kind == "cancel":
+            gets[op[1]].cancel()
+        else:
+            env.run()
+    env.run()
+    live = [k for k, g in enumerate(gets) if not g.triggered and g.callbacks is not None]
+    return log, list(store.items), live
+
+
+@given(_store_histories())
+@settings(max_examples=300, deadline=None)
+def test_filter_store_matches_rotating_oracle(script):
+    """Incremental matching changes no delivery: the same items reach
+    the same getters in the same wake order, puts unblock at the same
+    points, and the same items and getters are left waiting, as with a
+    full getter rotation on every settle."""
+    capacity, ops = script
+    assert (_replay_store(FilterStore, capacity, ops)
+            == _replay_store(_RotatingFilterStore, capacity, ops))
